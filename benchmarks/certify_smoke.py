@@ -7,6 +7,10 @@ Exercises trust-but-verify mode end to end the way a user would:
   guess and every counterexample check is certified;
 - an IFCL EENI check (the certified-verify row: the insecurity witness's
   model is re-evaluated at the term level);
+- a certified UNSAT IFCL row (B1 at bound 3, 5-bit, ``secure``): every
+  lemma of its DRUP proof must be accepted through the solver's hints,
+  with no fallback to full reverse unit propagation, so a solver change
+  that breaks hint recording fails here instead of only slowing down;
 - a WEBSYNTH XPath synthesis certified via the ``REPRO_CERTIFY``
   environment variable (the zero-code-change path);
 - a fault-localization ``debug`` query — the MaxSAT-style loop's UNSAT
@@ -57,6 +61,31 @@ def smoke_ifcl_verify() -> None:
     assert stats.certified_checks >= 1, "ifcl: no certified checks"
     print(f"  B2: insecure, "
           f"{stats.certified_checks}/{stats.solver_checks} checks certified")
+
+
+def smoke_ifcl_hinted_unsat() -> None:
+    from repro.sdsl.ifcl import BUGGY_MACHINES
+    from repro.sdsl.ifcl.verify import eeni_check
+    print("ifcl EENI proof replay (B1@3, 5-bit, certify= path):")
+    events = []
+    set_default_int_width(5)
+    try:
+        result = eeni_check(BUGGY_MACHINES["B1"], 3, certify=True,
+                            trace=events.append)
+    finally:
+        set_default_int_width(32)
+    assert result.status == "secure", result.status
+    proofs = [e.args for e in events
+              if e.name == "cert.proof" and e.ph == "E"]
+    assert proofs, "ifcl: no DRUP proof was replayed"
+    hinted = sum(args["hinted"] for args in proofs)
+    fallback = sum(args["fallback"] for args in proofs)
+    assert all(args["ok"] for args in proofs)
+    assert hinted > 0, "ifcl: no lemma was checked through its hints"
+    assert fallback == 0, \
+        f"ifcl: {fallback} lemma(s) fell back to full RUP replay"
+    print(f"  B1: secure, {len(proofs)} proof(s), {hinted} lemmas hinted, "
+          f"{fallback} fallback")
 
 
 def smoke_websynth_env() -> None:
@@ -120,6 +149,7 @@ def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     smoke_synthcl_synthesize()
     smoke_ifcl_verify()
+    smoke_ifcl_hinted_unsat()
     smoke_websynth_env()
     smoke_debug_query()
     smoke_chaos(seed)

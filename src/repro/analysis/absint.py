@@ -108,12 +108,10 @@ def _transfer(node: T.Term,
     args = [memo[arg] for arg in node.args]
 
     # Exactness fast path: all-singleton arguments evaluate concretely
-    # through the same semantics `terms.evaluate` uses.
+    # through the operator table `terms.evaluate` uses.
     concrete = _concrete_args(args)
     if concrete is not None:
-        value = T._eval_node(
-            node, {}, {id(arg): val for arg, val in zip(node.args, concrete)})
-        return _lift_concrete(node, value)
+        return _lift_concrete(node, T.eval_op(node, concrete))
 
     # Boolean connectives -------------------------------------------------
     if op == T.OP_NOT:

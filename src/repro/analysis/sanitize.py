@@ -40,6 +40,10 @@ EXHAUSTIVE_BITS = 12
 #: Random concretizations per root when sampling.
 SAMPLE_COUNT = 32
 
+#: Assignments evaluated per batched walk in the cross-check; bounds its
+#: memory at (DAG nodes) x _CHUNK values.
+_CHUNK = 256
+
 
 @dataclass
 class SanitizeStats:
@@ -200,16 +204,18 @@ def _cross_check(original: T.Term, rewritten: T.Term,
                 else:
                     env[var] = rng.getrandbits(var.width)
             assignments.append(env)
-    for env in assignments:
-        stats.certified += 1
-        old_val = T.evaluate(original, env)
-        new_val = T.evaluate(rewritten, env)
-        if old_val != new_val:
-            raise CertificationError(
-                "sanitize",
-                f"rewrite changed the formula's value under {env!r}: "
-                f"{old_val!r} became {new_val!r} "
-                f"(original {original!r}, rewritten {rewritten!r})")
+    for offset in range(0, len(assignments), _CHUNK):
+        chunk = assignments[offset:offset + _CHUNK]
+        old_vals, new_vals = T.evaluate_many((original, rewritten), chunk)
+        for index, (old_val, new_val) in enumerate(zip(old_vals, new_vals)):
+            if old_val != new_val:
+                stats.certified += index + 1
+                raise CertificationError(
+                    "sanitize",
+                    f"rewrite changed the formula's value under "
+                    f"{chunk[index]!r}: {old_val!r} became {new_val!r} "
+                    f"(original {original!r}, rewritten {rewritten!r})")
+        stats.certified += len(chunk)
 
 
 def _all_assignments(variables):

@@ -33,7 +33,8 @@ Event taxonomy (name — category — payload):
                                  plus the full CheckStats delta
 ``smt.encode`` (span)     smt    end: ``hits``, ``misses``, ``cached``
 ``cert.model`` (span)     cert   end: ``ok`` (SAT-answer certification)
-``cert.proof`` (span)     cert   ``steps``; end: ``ok``, ``core``
+``cert.proof`` (span)     cert   ``steps``; end: ``ok``, ``core``,
+                                 ``hinted``, ``fallback`` (lemma counts)
 ``cert.core`` (span)      cert   ``size``; end: ``ok`` (minimized-core
                                  re-proof)
 ``sat.solve`` (span)      sat    ``assumptions``; end: ``result``,

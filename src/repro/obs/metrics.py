@@ -164,6 +164,10 @@ class BusMetrics:
             reg.counter(f"{name}.checks").inc()
             if not args.get("ok", False):
                 reg.counter(f"{name}.rejected").inc()
+            if name == "cert.proof":
+                reg.counter("cert.proof.hinted").inc(args.get("hinted", 0))
+                reg.counter("cert.proof.fallback").inc(
+                    args.get("fallback", 0))
         elif name == "smt.encode" and ph == END:
             reg.counter("encode.spans").inc()
             reg.counter("encode.hits").inc(args.get("hits", 0))

@@ -516,14 +516,15 @@ class SmtSolver:
                 BUS.end("cert.model", "cert", ok=ok)
 
     def _certify_terms(self, bindings: Dict[T.Term, object]) -> None:
-        """Re-evaluate active assertions + last assumptions under bindings."""
+        """Re-evaluate active assertions + last assumptions under bindings.
+
+        One walk over every target's DAG; variables the bindings miss
+        evaluate as False / 0, like don't-care SAT variables.
+        """
         targets = self.assertions() + self._last_assumption_terms
-        for term in targets:
-            env = dict(bindings)
-            for var in T.term_vars(term):
-                if var not in env:
-                    env[var] = False if var.sort is T.BOOL else 0
-            if T.evaluate(term, env) is not True:
+        values = T.evaluate_many(targets, (bindings,))
+        for term, (value,) in zip(targets, values):
+            if value is not True:
                 raise CertificationError(
                     "model", f"assertion evaluates false under the model: "
                              f"{T.to_sexpr(term, max_depth=4)}")
@@ -540,14 +541,17 @@ class SmtSolver:
         if traced:
             BUS.begin("cert.proof", "cert", steps=len(self.proof.steps))
         ok = False
+        stats: Dict[str, int] = {}
         try:
-            check_proof(self.proof, core=core_lits)
+            stats = check_proof(self.proof, core=core_lits)
             self.last_cert = "proof"
             ok = True
         finally:
             if traced:
                 BUS.end("cert.proof", "cert", ok=ok,
-                        core=len(core_lits))
+                        core=len(core_lits),
+                        hinted=stats.get("hinted", 0),
+                        fallback=stats.get("fallback", 0))
 
     def certify_model(self, bindings: Optional[Dict[T.Term, object]] = None
                       ) -> None:

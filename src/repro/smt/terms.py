@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import gc
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Sorts and operators
@@ -338,32 +339,30 @@ def mk_ite(cond: Term, then: Term, alt: Term) -> Term:
     return _intern(OP_ITE, (cond, then, alt), None, BV, width)
 
 
-def _mk_compare(op: str, a: Term, b: Term,
-                fold: Callable[[int, int, int], bool]) -> Term:
+def _mk_compare(op: str, a: Term, b: Term) -> Term:
     width = _check_bv(a, b)
     if a.is_const and b.is_const:
-        return bool_const(fold(a.const_value(), b.const_value(), width))
+        return bool_const(
+            _SEMANTICS[op](width, a.const_value(), b.const_value()))
     if a is b:
-        return bool_const(fold(0, 0, width))
+        return bool_const(_SEMANTICS[op](width, 0, 0))
     return _intern(op, (a, b), None, BOOL, 0)
 
 
 def mk_ult(a: Term, b: Term) -> Term:
-    return _mk_compare(OP_ULT, a, b, lambda x, y, w: x < y)
+    return _mk_compare(OP_ULT, a, b)
 
 
 def mk_ule(a: Term, b: Term) -> Term:
-    return _mk_compare(OP_ULE, a, b, lambda x, y, w: x <= y)
+    return _mk_compare(OP_ULE, a, b)
 
 
 def mk_slt(a: Term, b: Term) -> Term:
-    return _mk_compare(
-        OP_SLT, a, b, lambda x, y, w: to_signed(x, w) < to_signed(y, w))
+    return _mk_compare(OP_SLT, a, b)
 
 
 def mk_sle(a: Term, b: Term) -> Term:
-    return _mk_compare(
-        OP_SLE, a, b, lambda x, y, w: to_signed(x, w) <= to_signed(y, w))
+    return _mk_compare(OP_SLE, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +370,11 @@ def mk_sle(a: Term, b: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 def _mk_bv_binop(op: str, a: Term, b: Term,
-                 fold: Callable[[int, int, int], int],
                  commutative: bool = False) -> Term:
     width = _check_bv(a, b)
     if a.is_const and b.is_const:
-        return bv_const(fold(a.const_value(), b.const_value(), width), width)
+        return bv_const(
+            _SEMANTICS[op](width, a.const_value(), b.const_value()), width)
     if commutative and id(a) > id(b):
         a, b = b, a
     return _intern(op, (a, b), None, BV, width)
@@ -479,7 +478,7 @@ def mk_mul(a: Term, b: Term) -> Term:
             return _build_linear(constant * value,
                                  {t: c * value for t, c in atoms.items()},
                                  width)
-    return _mk_bv_binop(OP_MUL, a, b, lambda x, y, w: x * y, commutative=True)
+    return _mk_bv_binop(OP_MUL, a, b, commutative=True)
 
 
 def _udiv_fold(x: int, y: int, w: int) -> int:
@@ -517,23 +516,23 @@ def _smod_fold(x: int, y: int, w: int) -> int:
 
 
 def mk_udiv(a: Term, b: Term) -> Term:
-    return _mk_bv_binop(OP_UDIV, a, b, _udiv_fold)
+    return _mk_bv_binop(OP_UDIV, a, b)
 
 
 def mk_urem(a: Term, b: Term) -> Term:
-    return _mk_bv_binop(OP_UREM, a, b, _urem_fold)
+    return _mk_bv_binop(OP_UREM, a, b)
 
 
 def mk_sdiv(a: Term, b: Term) -> Term:
-    return _mk_bv_binop(OP_SDIV, a, b, _sdiv_fold)
+    return _mk_bv_binop(OP_SDIV, a, b)
 
 
 def mk_srem(a: Term, b: Term) -> Term:
-    return _mk_bv_binop(OP_SREM, a, b, _srem_fold)
+    return _mk_bv_binop(OP_SREM, a, b)
 
 
 def mk_smod(a: Term, b: Term) -> Term:
-    return _mk_bv_binop(OP_SMOD, a, b, _smod_fold)
+    return _mk_bv_binop(OP_SMOD, a, b)
 
 
 def mk_bvnot(a: Term) -> Term:
@@ -556,7 +555,7 @@ def mk_bvand(a: Term, b: Term) -> Term:
                 return y
     if a is b:
         return a
-    return _mk_bv_binop(OP_BVAND, a, b, lambda x, y, w: x & y, commutative=True)
+    return _mk_bv_binop(OP_BVAND, a, b, commutative=True)
 
 
 def mk_bvor(a: Term, b: Term) -> Term:
@@ -570,7 +569,7 @@ def mk_bvor(a: Term, b: Term) -> Term:
                 return bv_const(ones, width)
     if a is b:
         return a
-    return _mk_bv_binop(OP_BVOR, a, b, lambda x, y, w: x | y, commutative=True)
+    return _mk_bv_binop(OP_BVOR, a, b, commutative=True)
 
 
 def mk_bvxor(a: Term, b: Term) -> Term:
@@ -580,49 +579,38 @@ def mk_bvxor(a: Term, b: Term) -> Term:
     for x, y in ((a, b), (b, a)):
         if x.is_const and x.const_value() == 0:
             return y
-    return _mk_bv_binop(OP_BVXOR, a, b, lambda x, y, w: x ^ y, commutative=True)
-
-
-def _shift_fold(shift: Callable[[int, int, int], int]):
-    def fold(x: int, y: int, w: int) -> int:
-        return shift(x, y, w)
-    return fold
+    return _mk_bv_binop(OP_BVXOR, a, b, commutative=True)
 
 
 def mk_shl(a: Term, b: Term) -> Term:
     if b.is_const and b.const_value() == 0:
         return a
-    return _mk_bv_binop(
-        OP_SHL, a, b,
-        lambda x, y, w: x << y if y < w else 0)
+    return _mk_bv_binop(OP_SHL, a, b)
 
 
 def mk_lshr(a: Term, b: Term) -> Term:
     if b.is_const and b.const_value() == 0:
         return a
-    return _mk_bv_binop(
-        OP_LSHR, a, b,
-        lambda x, y, w: x >> y if y < w else 0)
+    return _mk_bv_binop(OP_LSHR, a, b)
 
 
 def mk_ashr(a: Term, b: Term) -> Term:
     if b.is_const and b.const_value() == 0:
         return a
-
-    def fold(x: int, y: int, w: int) -> int:
-        signed = to_signed(x, w)
-        return signed >> min(y, w - 1)
-    return _mk_bv_binop(OP_ASHR, a, b, fold)
+    return _mk_bv_binop(OP_ASHR, a, b)
 
 
 # ---------------------------------------------------------------------------
 # Traversals
 # ---------------------------------------------------------------------------
 
-def postorder(term: Term):
-    """Iterative post-order traversal yielding each node exactly once."""
+def postorder(*roots: Term):
+    """Iterative post-order traversal yielding each node exactly once.
+
+    With several roots the walk covers their union DAG, roots in order.
+    """
     seen = set()
-    stack: List[Tuple[Term, bool]] = [(term, False)]
+    stack: List[Tuple[Term, bool]] = [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if id(node) in seen:
@@ -709,83 +697,99 @@ def substitute(term: Term, env: Dict[Term, Term]) -> Term:
     return memo[id(term)]
 
 
+# ---------------------------------------------------------------------------
+# Operator semantics and evaluation
+# ---------------------------------------------------------------------------
+
+def _masked(fold: Callable[[int, int, int], int]) -> Callable:
+    return lambda w, x, y: fold(x, y, w) & ((1 << w) - 1)
+
+
+#: The concrete semantics of every non-leaf operator, in one table:
+#: ``_SEMANTICS[op](width, *arg_values)``, where `width` is the first
+#: argument's width (the operand width of a comparison; unused by the
+#: boolean connectives and ``ite``). Bitvector results are unsigned and
+#: already reduced modulo ``2**width``. Constructor constant folding,
+#: :func:`evaluate`, :func:`evaluate_many` and the abstract interpreter's
+#: concrete fast path (:func:`eval_op`) all read this table.
+_SEMANTICS: Dict[str, Callable] = {
+    OP_NOT: lambda w, a: not a,
+    OP_AND: lambda w, *xs: all(xs),
+    OP_OR: lambda w, *xs: any(xs),
+    OP_XOR: lambda w, a, b: a != b,
+    OP_EQ: lambda w, a, b: a == b,
+    OP_ITE: lambda w, c, t, e: t if c else e,
+    OP_ULT: lambda w, a, b: a < b,
+    OP_ULE: lambda w, a, b: a <= b,
+    OP_SLT: lambda w, a, b: to_signed(a, w) < to_signed(b, w),
+    OP_SLE: lambda w, a, b: to_signed(a, w) <= to_signed(b, w),
+    OP_ADD: lambda w, *xs: sum(xs) & ((1 << w) - 1),
+    OP_SUB: lambda w, a, b: (a - b) & ((1 << w) - 1),
+    OP_MUL: lambda w, a, b: (a * b) & ((1 << w) - 1),
+    OP_UDIV: _masked(_udiv_fold),
+    OP_UREM: _masked(_urem_fold),
+    OP_SDIV: _masked(_sdiv_fold),
+    OP_SREM: _masked(_srem_fold),
+    OP_SMOD: _masked(_smod_fold),
+    OP_NEG: lambda w, a: -a & ((1 << w) - 1),
+    OP_BVAND: lambda w, a, b: a & b,
+    OP_BVOR: lambda w, a, b: a | b,
+    OP_BVXOR: lambda w, a, b: a ^ b,
+    OP_BVNOT: lambda w, a: ~a & ((1 << w) - 1),
+    OP_SHL: lambda w, a, b: (a << b) & ((1 << w) - 1) if b < w else 0,
+    OP_LSHR: lambda w, a, b: a >> b if b < w else 0,
+    OP_ASHR: lambda w, a, b:
+        (to_signed(a, w) >> min(b, w - 1)) & ((1 << w) - 1),
+}
+
+
+def _semantics(op: str) -> Callable:
+    fn = _SEMANTICS.get(op)
+    if fn is None:
+        raise ValueError(f"cannot evaluate operator {op}")
+    return fn
+
+
+def eval_op(node: Term, values) -> object:
+    """Apply `node`'s operator to concrete argument values."""
+    return _semantics(node.op)(node.args[0].width, *values)
+
+
 def evaluate(term: Term, env: Dict[Term, object]):
     """Concretely evaluate `term` under a variable assignment.
 
     `env` maps variable terms to Python values (bool / unsigned int).
     Unassigned variables default to False / 0 — matching how SAT models
-    treat don't-care variables.
+    treat don't-care variables. The one-environment case of
+    :func:`evaluate_many`.
     """
-    memo: Dict[int, object] = {}
-    for node in postorder(term):
-        memo[id(node)] = _eval_node(node, env, memo)
-    return memo[id(term)]
+    return evaluate_many((term,), (env,))[0][0]
 
 
-def _eval_node(node: Term, env, memo):
-    op = node.op
-    if node.is_var:
-        if node in env:
-            return env[node]
-        return False if node.sort is BOOL else 0
-    if node.is_const:
-        return node.const_value()
-    args = [memo[id(arg)] for arg in node.args]
-    width = node.args[0].width if node.args else node.width
-    mask = (1 << width) - 1 if width else 0
-    if op == OP_NOT:
-        return not args[0]
-    if op == OP_AND:
-        return all(args)
-    if op == OP_OR:
-        return any(args)
-    if op == OP_XOR:
-        return args[0] != args[1]
-    if op == OP_EQ:
-        return args[0] == args[1]
-    if op == OP_ITE:
-        return args[1] if args[0] else args[2]
-    if op == OP_ULT:
-        return args[0] < args[1]
-    if op == OP_ULE:
-        return args[0] <= args[1]
-    if op == OP_SLT:
-        return to_signed(args[0], width) < to_signed(args[1], width)
-    if op == OP_SLE:
-        return to_signed(args[0], width) <= to_signed(args[1], width)
-    if op == OP_ADD:
-        return sum(args) & mask
-    if op == OP_SUB:
-        return (args[0] - args[1]) & mask
-    if op == OP_MUL:
-        return (args[0] * args[1]) & mask
-    if op == OP_UDIV:
-        return _udiv_fold(args[0], args[1], width) & mask
-    if op == OP_UREM:
-        return _urem_fold(args[0], args[1], width) & mask
-    if op == OP_SDIV:
-        return _sdiv_fold(args[0], args[1], width) & mask
-    if op == OP_SREM:
-        return _srem_fold(args[0], args[1], width) & mask
-    if op == OP_SMOD:
-        return _smod_fold(args[0], args[1], width) & mask
-    if op == OP_NEG:
-        return (-args[0]) & mask
-    if op == OP_BVAND:
-        return args[0] & args[1]
-    if op == OP_BVOR:
-        return args[0] | args[1]
-    if op == OP_BVXOR:
-        return args[0] ^ args[1]
-    if op == OP_BVNOT:
-        return (~args[0]) & mask
-    if op == OP_SHL:
-        return (args[0] << args[1]) & mask if args[1] < width else 0
-    if op == OP_LSHR:
-        return args[0] >> args[1] if args[1] < width else 0
-    if op == OP_ASHR:
-        return (to_signed(args[0], width) >> min(args[1], width - 1)) & mask
-    raise ValueError(f"cannot evaluate operator {op}")
+def evaluate_many(roots: Sequence[Term],
+                  envs: Sequence[Dict[Term, object]]) -> List[List[object]]:
+    """Evaluate every root under every environment in one DAG walk.
+
+    One post-order walk over the union DAG of `roots` computes, per node,
+    a column of values — one per environment. Returns one row per root:
+    ``result[r][e]`` is the value of ``roots[r]`` under ``envs[e]``, as
+    :func:`evaluate` would give it. Memory is (DAG nodes) x ``len(envs)``,
+    so callers with many environments pass them in chunks.
+    """
+    count = len(envs)
+    columns: Dict[int, List[object]] = {}
+    for node in postorder(*roots):
+        args = node.args
+        if args:
+            columns[id(node)] = list(map(
+                _semantics(node.op), repeat(args[0].width, count),
+                *[columns[id(arg)] for arg in args]))
+        elif node.op in (OP_BOOL_VAR, OP_BV_VAR):
+            default = False if node.sort is BOOL else 0
+            columns[id(node)] = [env.get(node, default) for env in envs]
+        else:
+            columns[id(node)] = [node.const_value()] * count
+    return [columns[id(root)] for root in roots]
 
 
 def to_sexpr(term: Term, max_depth: Optional[int] = None) -> str:

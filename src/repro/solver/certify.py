@@ -13,7 +13,10 @@ search code. This module makes those answers *certifiable*:
   propagator — sharing no code with the solver's search — verifying that
   each learned clause is RUP with respect to the clause database at the
   time it was learned, and that the claimed conclusion (the empty clause,
-  or a conflict under a claimed unsat core of assumptions) follows.
+  or a conflict under a claimed unsat core of assumptions) follows. The
+  solver's hints (which clauses it resolved) let most lemmas be checked
+  by propagating a handful of database clauses; they are untrusted, and
+  any lemma they do not settle gets the full RUP check.
 - :func:`check_model` is an independent CNF evaluator: a claimed SAT
   model must satisfy every original clause, clause by clause, plus every
   assumption literal.
@@ -73,21 +76,43 @@ class ProofLog:
     Appending is the only hot-path operation — the solver logs a learned
     clause with one tuple allocation — so the log stays cheap enough to
     leave on for whole query sweeps.
+
+    A learned step may also carry *hints* (LRAT-style): the step indices
+    of the clauses the solver resolved to derive it, in propagation
+    order. They live in the side table :attr:`hints`, keyed by step
+    index, so :attr:`steps` stays plain DRUP. Hints are untrusted: the
+    checker only uses them to pick which clauses to propagate first.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "hints")
 
-    def __init__(self, steps: Optional[List[Tuple[str, Tuple[int, ...]]]] = None):
+    def __init__(self, steps: Optional[List[Tuple[str, Tuple[int, ...]]]] = None,
+                 hints: Optional[Dict[int, Tuple[int, ...]]] = None):
         self.steps: List[Tuple[str, Tuple[int, ...]]] = \
             list(steps) if steps is not None else []
+        self.hints: Dict[int, Tuple[int, ...]] = \
+            dict(hints) if hints is not None else {}
 
     # -- recording -----------------------------------------------------
 
-    def input(self, lits: Iterable[int]) -> None:
+    def input(self, lits: Iterable[int]) -> int:
+        """Log an original clause; returns its step index."""
         self.steps.append((STEP_INPUT, tuple(lits)))
+        return len(self.steps) - 1
 
-    def learn(self, lits: Iterable[int]) -> None:
+    def learn(self, lits: Iterable[int],
+              hints: Optional[Sequence[int]] = None) -> int:
+        """Log a learned clause; returns its step index.
+
+        `hints` lists the antecedent step indices in resolution
+        (reverse-propagation) order, as conflict analysis visits them;
+        they are stored reversed, in the order a checker propagates them.
+        """
         self.steps.append((STEP_LEARN, tuple(lits)))
+        index = len(self.steps) - 1
+        if hints:
+            self.hints[index] = tuple(dict.fromkeys(reversed(hints)))
+        return index
 
     def delete(self, lits: Iterable[int]) -> None:
         self.steps.append((STEP_DELETE, tuple(lits)))
@@ -113,27 +138,36 @@ class ProofLog:
     # -- serialization -------------------------------------------------
 
     def to_jsonl(self, path) -> None:
-        """One ``{"op": kind, "lits": [...]}`` object per line."""
+        """One ``{"op": kind, "lits": [...]}`` object per line; learned
+        steps with hints add ``"hints": [...]``."""
+        hints = self.hints
         with open(path, "w", encoding="utf-8") as handle:
-            for kind, lits in self.steps:
-                handle.write(json.dumps({"op": kind, "lits": list(lits)}))
+            for index, (kind, lits) in enumerate(self.steps):
+                row = {"op": kind, "lits": list(lits)}
+                if index in hints:
+                    row["hints"] = list(hints[index])
+                handle.write(json.dumps(row))
                 handle.write("\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "ProofLog":
         steps: List[Tuple[str, Tuple[int, ...]]] = []
+        hints: Dict[int, Tuple[int, ...]] = {}
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 row = json.loads(line)
+                if "hints" in row:
+                    hints[len(steps)] = tuple(int(h) for h in row["hints"])
                 steps.append((row["op"], tuple(row["lits"])))
-        return cls(steps)
+        return cls(steps, hints)
 
     def to_drup(self) -> str:
         """Standard DRUP text: learned and deleted clauses only
-        (original clauses live in the DIMACS file, not the proof)."""
+        (original clauses live in the DIMACS file, not the proof).
+        Hints are not part of DRUP and are left out."""
         lines = []
         for kind, lits in self.steps:
             if kind == STEP_LEARN:
@@ -163,7 +197,9 @@ class RupChecker:
     The implementation intentionally shares nothing with
     :class:`repro.solver.sat.SatSolver` beyond the two-watched-literal
     idea — no conflict analysis, no heuristics, no backjumping — so a bug
-    in the search cannot hide in its own certifier.
+    in the search cannot hide in its own certifier. The search's hints
+    only choose which of the checker's own clauses
+    :meth:`check_hinted` propagates.
     """
 
     def __init__(self):
@@ -174,6 +210,7 @@ class RupChecker:
         self._trail: List[int] = []
         self._by_key: Dict[Tuple[int, ...], List[_CClause]] = {}
         self._root_reasons: set = set()           # id() of root-reason clauses
+        self._deleted: set = set()                # deleted clauses
         self._at_root = False                     # recording root reasons?
         #: True once the empty clause is derivable at root level.
         self.contradiction = False
@@ -200,26 +237,34 @@ class RupChecker:
 
     # -- clause database -----------------------------------------------
 
-    def add_clause(self, lits: Sequence[int]) -> None:
+    def add_clause(self, lits: Sequence[int]) -> Optional[_CClause]:
         """Add a clause and propagate any unit consequence at root.
 
         Root assignments are permanent (the checker never retracts them;
         temporary assumptions are layered on top and undone), so a clause
-        satisfied or unit at root needs no movable watches.
+        satisfied or unit at root needs no movable watches. Returns the
+        stored clause (None for a tautology, which is not stored).
         """
-        unique = self._key(lits)
-        for lit in unique:
-            self._ensure_var(abs(lit))
-        if any(-lit in unique for lit in unique):
-            return  # tautology: inert under every assignment
+        lit_set = set(lits)
+        for lit in lit_set:
+            if -lit in lit_set:
+                return None  # tautology: inert under every assignment
+        unique = tuple(sorted(lit_set))
+        if unique:
+            self._ensure_var(max(unique[-1], -unique[0]))
         clause = _CClause(unique)
         self._by_key.setdefault(unique, []).append(clause)
-        nonfalse = [lit for lit in clause.lits if self._value(lit) != 0]
-        if any(self._value(lit) == 1 for lit in nonfalse):
-            return  # permanently satisfied at root
+        assign = self._assign
+        nonfalse = []
+        for lit in unique:
+            value = assign[lit] if lit > 0 else assign[-lit]
+            if value == _UNASSIGNED:
+                nonfalse.append(lit)
+            elif (value == 1) == (lit > 0):
+                return clause  # permanently satisfied at root
         if not nonfalse:
             self.contradiction = True
-            return
+            return clause
         if len(nonfalse) == 1:
             # Unit at root: extend the permanent assignment.
             start = len(self._trail)
@@ -231,13 +276,14 @@ class RupChecker:
                     self.contradiction = True
             finally:
                 self._at_root = False
-            return
+            return clause
         # Two non-false literals exist: put them first and watch them.
         ordered = nonfalse[:2] + [lit for lit in clause.lits
                                   if lit not in nonfalse[:2]]
         clause.lits = ordered
         self._watches.setdefault(ordered[0], []).append(clause)
         self._watches.setdefault(ordered[1], []).append(clause)
+        return clause
 
     def delete_clause(self, lits: Sequence[int]) -> None:
         """Remove one copy of a clause (drat-trim reason-guard applied)."""
@@ -249,6 +295,7 @@ class RupChecker:
         if id(clause) in self._root_reasons:
             return  # the clause forced a root literal: keep it sound
         bucket.pop()
+        self._deleted.add(clause)
         if not bucket:
             del self._by_key[key]
         for watched in clause.lits[:2]:
@@ -338,6 +385,75 @@ class RupChecker:
         """Does asserting `assumptions` yield a conflict by propagation?"""
         return self._assume_and_propagate(list(assumptions))
 
+    def check_hinted(self, lits: Sequence[int],
+                     hints: Sequence[Optional[_CClause]]) -> bool:
+        """Is the clause RUP using only the `hints` clauses?
+
+        Assigns the clause's negation on top of the root state, then
+        unit-propagates over the hint clauses alone — in the given order,
+        sweeping again over the ones not yet unit while a sweep makes
+        progress — until one is falsified. True means the clause is RUP
+        (a conflict reached by propagating genuine database clauses).
+        False means only that the hints did not suffice: a missing (None)
+        or deleted hint clause fails at once, and the caller falls back
+        to :meth:`check_rup`.
+        """
+        if self.contradiction:
+            return True
+        deleted = self._deleted
+        for clause in hints:
+            if clause is None or clause in deleted:
+                return False
+        assign = self._assign
+        trail = self._trail
+        start = len(trail)
+        try:
+            for lit in lits:
+                var = -lit if lit < 0 else lit
+                self._ensure_var(var)
+                value = assign[var]
+                if value == _UNASSIGNED:
+                    # Assign the negation: lit becomes false.
+                    assign[var] = 0 if lit > 0 else 1
+                    trail.append(-lit)
+                elif (value == 1) == (lit > 0):
+                    return True    # lit true at root: the negation conflicts
+            pending = hints
+            while pending:
+                deferred = []
+                for clause in pending:
+                    unit = 0
+                    for lit in clause.lits:
+                        if lit > 0:
+                            value = assign[lit]
+                            if value == 1:
+                                break          # satisfied
+                            if value == 0:
+                                continue
+                        else:
+                            value = assign[-lit]
+                            if value == 0:
+                                break          # satisfied
+                            if value == 1:
+                                continue
+                        if unit:
+                            deferred.append(clause)   # two open literals
+                            break
+                        unit = lit
+                    else:
+                        if not unit:
+                            return True        # every literal false
+                        var = -unit if unit < 0 else unit
+                        assign[var] = 1 if unit > 0 else 0
+                        trail.append(unit)
+                if len(deferred) == len(pending):
+                    return False               # a sweep made no progress
+                pending = deferred
+            return False
+        finally:
+            while len(trail) > start:
+                assign[abs(trail.pop())] = _UNASSIGNED
+
 
 def check_proof(proof: ProofLog, core: Sequence[int] = ()) -> Dict[str, int]:
     """Validate an UNSAT answer against its DRUP proof.
@@ -348,24 +464,45 @@ def check_proof(proof: ProofLog, core: Sequence[int] = ()) -> Dict[str, int]:
     assumption literals, or the empty clause when `core` is empty — must
     follow by unit propagation from the final database.
 
-    Returns replay statistics; raises :class:`CertificationError` on the
-    first invalid step.
+    A learned step with hints is first checked by propagating only its
+    hint clauses (:meth:`RupChecker.check_hinted`); when the hints are
+    missing, stale or insufficient the step falls back to the full RUP
+    check. Both accept only RUP clauses, so hints change the cost of a
+    replay, never its verdict.
+
+    Returns replay statistics (``hinted`` and ``fallback`` count the
+    lemmas each check accepted); raises
+    :class:`CertificationError` on the first invalid step.
     """
     checker = RupChecker()
-    checked = 0
+    hints = proof.hints
+    # The checker's clause for every step index (None: deletion or
+    # tautology), so a hint resolves to the clause it names.
+    by_step: List[Optional[_CClause]] = []
+    checked = hinted = fallback = 0
     for index, (kind, lits) in enumerate(proof.steps):
         if kind == STEP_INPUT:
-            checker.add_clause(lits)
+            by_step.append(checker.add_clause(lits))
         elif kind == STEP_LEARN:
-            if not checker.contradiction and not checker.check_rup(lits):
+            hint = hints.get(index)
+            if checker.contradiction:
+                pass    # everything follows from a root contradiction
+            elif hint is not None and checker.check_hinted(
+                    lits, [by_step[h] if 0 <= h < index else None
+                           for h in hint]):
+                hinted += 1
+            elif checker.check_rup(lits):
+                fallback += 1
+            else:
                 raise CertificationError(
                     "proof",
                     f"step {index}: learned clause {list(lits)} is not a "
                     "reverse-unit-propagation consequence")
-            checker.add_clause(lits)
+            by_step.append(checker.add_clause(lits))
             checked += 1
         elif kind == STEP_DELETE:
             checker.delete_clause(lits)
+            by_step.append(None)
         else:
             raise CertificationError("proof",
                                      f"step {index}: unknown kind {kind!r}")
@@ -376,6 +513,7 @@ def check_proof(proof: ProofLog, core: Sequence[int] = ()) -> Dict[str, int]:
             "proof", f"conclusion unsupported: propagation under {claim} "
             "does not conflict")
     return {"steps": len(proof.steps), "rup_checked": checked,
+            "hinted": hinted, "fallback": fallback,
             "core": len(core)}
 
 

@@ -171,6 +171,23 @@ def _scan_for_caught(candidates: List[int], rng: random.Random,
                                f"{len(order)} candidate position(s)")
 
 
+def _edited(proof: ProofLog,
+            steps: List[Tuple[Optional[int], Tuple[str, Tuple[int, ...]]]]
+            ) -> ProofLog:
+    """A proof of edited `steps` that keeps the original's hints.
+
+    Each entry pairs a step with the index it had in `proof` (None for an
+    injected step). Hints travel with their step and are re-indexed; a
+    hint naming a removed step becomes -1, which the checker treats as
+    missing. The faults thus attack the hinted replay production uses.
+    """
+    new_index = {old: new for new, (old, _) in enumerate(steps)
+                 if old is not None}
+    hints = {new_index[old]: tuple(new_index.get(h, -1) for h in hint)
+             for old, hint in proof.hints.items() if old in new_index}
+    return ProofLog([step for _, step in steps], hints)
+
+
 def _fault_flip_learned_literal(rng: random.Random) -> FaultOutcome:
     proof = _unsat_proof()
     learned = [i for i, (kind, _) in enumerate(proof.steps)
@@ -181,9 +198,10 @@ def _fault_flip_learned_literal(rng: random.Random) -> FaultOutcome:
         which = rng.randrange(len(lits))
         mutated = list(lits)
         mutated[which] = -mutated[which]
-        steps = list(proof.steps)
-        steps[step] = (kind, tuple(mutated))
-        check_proof(ProofLog(steps))
+        steps = list(enumerate(proof.steps))
+        # The flipped clause keeps the hints of the genuine one.
+        steps[step] = (step, (kind, tuple(mutated)))
+        check_proof(_edited(proof, steps))
 
     return _scan_for_caught(learned, rng, mutate,
                             lambda step: f"flipped a literal of step {step}")
@@ -195,8 +213,8 @@ def _fault_drop_learned_clause(rng: random.Random) -> FaultOutcome:
                if kind == STEP_LEARN]
 
     def mutate(step: int) -> None:
-        steps = [s for i, s in enumerate(proof.steps) if i != step]
-        check_proof(ProofLog(steps))
+        steps = [(i, s) for i, s in enumerate(proof.steps) if i != step]
+        check_proof(_edited(proof, steps))
 
     return _scan_for_caught(learned, rng, mutate,
                             lambda step: f"dropped learned step {step}")
@@ -206,14 +224,15 @@ def _fault_inject_foreign_clause(rng: random.Random) -> FaultOutcome:
     proof = _unsat_proof()
     fresh = 1 + max(abs(lit) for _, lits in proof.steps for lit in lits)
     sign = rng.choice([1, -1])
-    steps = list(proof.steps)
+    steps: List[Tuple[Optional[int], Tuple[str, Tuple[int, ...]]]] = \
+        list(enumerate(proof.steps))
     # After the inputs, before any learning: claim a unit over a variable
     # no clause constrains — unit propagation cannot derive it.
-    first_learn = next(i for i, (kind, _) in enumerate(steps)
+    first_learn = next(i for i, (kind, _) in enumerate(proof.steps)
                        if kind == STEP_LEARN)
-    steps.insert(first_learn, (STEP_LEARN, (sign * fresh,)))
+    steps.insert(first_learn, (None, (STEP_LEARN, (sign * fresh,))))
     try:
-        check_proof(ProofLog(steps))
+        check_proof(_edited(proof, steps))
     except CertificationError as rejected:
         return FaultOutcome("inject-foreign-clause", True, str(rejected))
     return FaultOutcome("inject-foreign-clause", False,
@@ -222,9 +241,10 @@ def _fault_inject_foreign_clause(rng: random.Random) -> FaultOutcome:
 
 def _fault_truncate_proof(rng: random.Random) -> FaultOutcome:
     proof = _unsat_proof()
-    steps = [s for s in proof.steps if s[0] != STEP_LEARN]
+    steps = [(i, s) for i, s in enumerate(proof.steps)
+             if s[0] != STEP_LEARN]
     try:
-        check_proof(ProofLog(steps))
+        check_proof(_edited(proof, steps))
     except CertificationError as rejected:
         return FaultOutcome("truncate-proof", True, str(rejected))
     return FaultOutcome("truncate-proof", False,

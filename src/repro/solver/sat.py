@@ -15,8 +15,12 @@ With :meth:`SatSolver.enable_proof` the solver additionally emits a DRUP
 proof (original, learned, and deleted clauses) into a
 :class:`~repro.solver.certify.ProofLog`, which the independent checker in
 :mod:`repro.solver.certify` replays to certify UNSAT answers and against
-which SAT models are evaluated clause-by-clause. Logging off costs one
-attribute check per conflict; logging on costs one tuple per step.
+which SAT models are evaluated clause-by-clause. Each learned clause is
+logged with hints: the proof steps of the clauses conflict analysis
+resolved, which let the checker replay it without a full propagation.
+Logging off costs a few ``is None`` checks per conflict; logging on
+costs one tuple per step plus the hint list, and never changes the
+search.
 """
 
 from __future__ import annotations
@@ -50,6 +54,18 @@ class _Clause:
         self.lits = lits
         self.learnt = learnt
         self.activity = 0.0
+
+
+class _LoggedClause(_Clause):
+    """A clause of a proof-logging solver, which also knows the proof step
+    that introduced it; conflict analysis records that step as a hint.
+    A separate class keeps solvers without a proof one slot smaller."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, lits: List[int], learnt: bool, step: int):
+        super().__init__(lits, learnt)
+        self.step = step
 
 
 def _luby(i: int) -> int:
@@ -130,6 +146,7 @@ class SatSolver:
         # learned, and deleted clause is recorded so UNSAT answers can be
         # replayed by the independent RUP checker (repro.solver.certify).
         self.proof: Optional[ProofLog] = None
+        self._hints: Optional[List[int]] = None   # set by _analyze
 
     def enable_proof(self, proof: Optional[ProofLog] = None) -> ProofLog:
         """Start DRUP proof logging; returns the (possibly given) log.
@@ -193,8 +210,9 @@ class SatSolver:
         Returns False if the solver is already in a toplevel-conflict state
         or the clause is trivially unsatisfiable at level 0.
         """
+        step = -1
         if self.proof is not None:
-            self.proof.input(ext_lits)
+            step = self.proof.input(ext_lits)
         if not self._ok:
             return False
         self._ensure_vars(ext_lits)
@@ -222,7 +240,8 @@ class SatSolver:
                 return False
             self._ok = self._propagate() is None
             return self._ok
-        clause = _Clause(out, learnt=False)
+        clause = (_Clause(out, learnt=False) if step < 0
+                  else _LoggedClause(out, False, step))
         self._clauses.append(clause)
         self._attach(clause)
         return True
@@ -335,15 +354,23 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def _analyze(self, confl: _Clause) -> tuple[List[int], int]:
-        """First-UIP analysis; returns (learnt clause, backtrack level)."""
+        """First-UIP analysis; returns (learnt clause, backtrack level).
+
+        With proof logging on, the proof steps of every clause resolved
+        (the conflict, each expanded reason, each reason minimization
+        used) are collected in ``self._hints`` for :meth:`ProofLog.learn`.
+        """
         seen = self._seen
         learnt: List[int] = [0]  # placeholder for the asserting literal
         counter = 0
         lit = -1
         index = len(self._trail) - 1
         clause: Optional[_Clause] = confl
+        hints = self._hints = [] if self.proof is not None else None
         while True:
             assert clause is not None
+            if hints is not None:
+                hints.append(clause.step)
             if clause.learnt:
                 self._bump_clause(clause)
             start = 0 if lit == -1 else 1
@@ -378,9 +405,17 @@ class SatSolver:
             abstract_levels |= 1 << (self._level[q >> 1] & 31)
         self._min_clear: List[int] = []
         minimized = [learnt[0]]
+        redundant: List[int] = []
         for q in learnt[1:]:
             if self._reason[q >> 1] is None or not self._lit_redundant(q, abstract_levels):
                 minimized.append(q)
+            elif hints is not None:
+                redundant.append(q >> 1)
+        if redundant:
+            # Minimization expanded the reasons of the dropped literals
+            # and of every variable it marked on the way.
+            hints.extend(reversed(
+                self._hint_order(redundant + self._min_clear)))
         for var in self._min_clear:
             seen[var] = 0
         for q in learnt:
@@ -424,6 +459,34 @@ class SatSolver:
         # Marks set here persist so later redundancy checks can reuse them;
         # the caller clears everything recorded in _min_clear afterwards.
         return True
+
+    def _hint_order(self, variables: List[int]) -> List[int]:
+        """Proof steps of the reasons of `variables`, antecedents first.
+
+        A depth-first post-order over the implication graph restricted to
+        `variables`: each reason comes after the reasons of its
+        antecedents, which is the order a checker can propagate them in.
+        """
+        reasons = self._reason
+        inside = set(variables)
+        done = set()
+        order: List[int] = []
+        for root in variables:
+            stack = [(root, False)]
+            while stack:
+                var, emit = stack.pop()
+                if emit:
+                    order.append(reasons[var].step)
+                    continue
+                if var in done:
+                    continue
+                done.add(var)
+                stack.append((var, True))
+                for q in reasons[var].lits[1:]:
+                    antecedent = q >> 1
+                    if antecedent in inside and antecedent not in done:
+                        stack.append((antecedent, False))
+        return order
 
     def _analyze_final(self, lit: int) -> List[int]:
         """Compute the assumptions responsible for the failing assumption `lit`.
@@ -677,9 +740,11 @@ class SatSolver:
                         return SatResult.UNKNOWN
                 learnt, bt_level = self._analyze(confl)
                 self.num_learned += 1
+                step = -1
                 if self.proof is not None:
-                    self.proof.learn(
-                        [self._to_external(lit) for lit in learnt])
+                    step = self.proof.learn(
+                        [self._to_external(lit) for lit in learnt],
+                        self._hints)
                 if budget is not None:
                     budget.charge_learned()
                 # Never backtrack past still-valid assumption decisions:
@@ -690,7 +755,8 @@ class SatSolver:
                         self._ok = False
                         return SatResult.UNSAT
                 else:
-                    clause = _Clause(learnt, learnt=True)
+                    clause = (_Clause(learnt, learnt=True) if step < 0
+                              else _LoggedClause(learnt, True, step))
                     self._learnts.append(clause)
                     self._attach(clause)
                     self._bump_clause(clause)

@@ -28,7 +28,11 @@ from repro.analysis.domains import (
     AbsVal,
     chaos_wrong_transfer,
 )
-from repro.analysis.sanitize import SanitizeStats, sanitize_assertion
+from repro.analysis.sanitize import (
+    SanitizeStats,
+    _all_assignments,
+    sanitize_assertion,
+)
 from repro.smt import terms as T
 from repro.smt.solver import SmtResult, SmtSolver
 from repro.solver.certify import CertificationError
@@ -205,6 +209,40 @@ def test_corrupted_transfer_is_caught_by_certify():
             sanitize(formula, certify=True)
     # The context manager restores soundness.
     assert sanitize(formula, certify=True) is formula
+
+
+def test_cross_check_reports_the_first_differing_assignment():
+    x = T.bv_var("chaos_first_x", 4)
+    formula = T.mk_eq(T.mk_add(x, T.bv_const(1, 4)), T.bv_const(3, 4))
+    with chaos_wrong_transfer(T.OP_ADD):
+        rewritten = sanitize(formula)
+        envs = list(_all_assignments([x]))
+        first = next(i for i, env in enumerate(envs)
+                     if T.evaluate(formula, env) != T.evaluate(rewritten, env))
+        stats = SanitizeStats()
+        with pytest.raises(CertificationError) as err:
+            sanitize(formula, certify=True, stats=stats)
+    assert repr(envs[first]) in err.value.reason
+    assert stats.certified == first + 1
+
+
+def test_cross_check_counts_every_assignment():
+    # 13 variable bits: sampled, not exhaustive.
+    x = T.bv_var("cc_count_x", 8)
+    y = T.bv_var("cc_count_y", 5)
+    # `x < 0` is decided false by the analysis, not by the constructors.
+    formula = T.mk_or(T.mk_ult(x, T.bv_const(0, 8)),
+                      T.mk_ult(y, T.bv_const(31, 5)))
+    stats = SanitizeStats()
+    assert sanitize(formula, certify=True, stats=stats) is not formula
+    assert stats.certified == 32
+    # A small space is enumerated exhaustively, in batches.
+    z = T.bv_var("cc_count_z", 10)
+    small = T.mk_or(T.mk_ult(z, T.bv_const(0, 10)),
+                    T.mk_ult(T.bv_const(1000, 10), z))
+    stats = SanitizeStats()
+    assert sanitize(small, certify=True, stats=stats) is not small
+    assert stats.certified == 1 << 10
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])

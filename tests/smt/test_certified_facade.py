@@ -107,6 +107,44 @@ class TestCertifiedAnswers:
         with pytest.raises(CertificationError):
             solver.certify_model(bad)
 
+    def test_certify_model_names_the_first_false_assertion(self):
+        solver = SmtSolver(certify=True)
+        x = T.bv_var("cf_x", 8)
+        y = T.bv_var("cf_y", 8)
+        solver.add_assertion(T.mk_ult(x, T.bv_const(9, 8)))
+        solver.add_assertion(T.mk_eq(y, T.bv_const(7, 8)))
+        solver.add_assertion(T.mk_ult(y, T.bv_const(100, 8)))
+        assert solver.check() is SmtResult.SAT
+        # Unbound variables evaluate as 0: y = 0 breaks only the second.
+        with pytest.raises(CertificationError) as err:
+            solver.certify_model({x: 3})
+        assert "cf_y" in err.value.reason and "bvult" not in err.value.reason
+        with pytest.raises(CertificationError) as err:
+            solver.certify_model({x: 200, y: 200})
+        assert "cf_x" in err.value.reason
+
+    def test_cert_proof_span_reports_hinted_lemmas(self):
+        events = []
+        unsubscribe = BUS.subscribe(events.append)
+        try:
+            solver = SmtSolver(certify=True)
+            x = T.bv_var("ch_x", 6)
+            y = T.bv_var("ch_y", 6)
+            solver.add_assertion(T.mk_eq(T.mk_mul(x, y), T.bv_const(35, 6)))
+            solver.add_assertion(T.mk_ult(T.bv_const(1, 6), x))
+            solver.add_assertion(T.mk_ult(T.bv_const(1, 6), y))
+            solver.add_assertion(T.mk_ult(x, T.bv_const(8, 6)))
+            solver.add_assertion(T.mk_ult(y, T.bv_const(8, 6)))
+            solver.add_assertion(T.mk_not(T.mk_eq(x, T.bv_const(5, 6))))
+            solver.add_assertion(T.mk_not(T.mk_eq(x, T.bv_const(7, 6))))
+            assert solver.check() is SmtResult.UNSAT
+        finally:
+            unsubscribe()
+        ends = [e for e in events if e.name == "cert.proof" and e.ph == "E"]
+        assert len(ends) == 1 and ends[0].args["ok"] is True
+        assert ends[0].args["fallback"] == 0
+        assert ends[0].args["hinted"] == solver.proof.counts()["a"] > 0
+
     def test_cert_events_on_bus(self):
         events = []
         unsubscribe = BUS.subscribe(events.append)

@@ -203,6 +203,37 @@ class TestTraversals:
         x = T.bv_var("dflt", 4)
         assert T.evaluate(T.mk_add(x, bv(2)), {}) == 2
 
+    def test_evaluate_many_is_one_column_per_environment(self):
+        x, y = T.bv_var("emx", 4), T.bv_var("emy", 4)
+        p = T.bool_var("emp")
+        shared = T.mk_mul(x, y)
+        roots = [T.mk_ult(shared, T.mk_add(x, bv(3))),
+                 T.mk_ite(p, shared, T.mk_ashr(y, bv(1))),
+                 T.mk_sdiv(shared, T.mk_sub(x, y)),
+                 bv(9), x]
+        envs = [{x: a, y: b, p: bool(a & 1)}
+                for a in range(16) for b in (0, 5, 15)] + [{}]
+        rows = T.evaluate_many(roots, envs)
+        assert len(rows) == len(roots)
+        for root, row in zip(roots, rows):
+            assert row == [T.evaluate(root, env) for env in envs]
+        # A one-term walk agrees with constant folding of the substitution.
+        for env in envs[:-1]:
+            folded = T.substitute(roots[2], {x: bv(env[x]), y: bv(env[y])})
+            assert folded.const_value() == T.evaluate(roots[2], env)
+
+    def test_evaluate_many_with_no_environments(self):
+        x = T.bv_var("emz", 4)
+        assert T.evaluate_many([T.mk_add(x, bv(1))], []) == [[]]
+
+    def test_eval_op_applies_one_operator(self):
+        x, y = T.bv_var("eox", 4), T.bv_var("eoy", 4)
+        assert T.eval_op(T.mk_urem(x, y), (7, 5)) == 2
+        assert T.eval_op(T.mk_udiv(x, y), (3, 0)) == 15
+        assert T.eval_op(T.mk_slt(x, y), (15, 0)) is True
+        assert T.eval_op(T.mk_and(T.bool_var("eop"), T.bool_var("eoq")),
+                         (True, False)) is False
+
 
 class TestPrinting:
     def test_sexpr_output(self):

@@ -1,5 +1,7 @@
 """Certification layer: proof logs, the RUP checker, and the certifiers."""
 
+import random
+
 import pytest
 
 from repro.solver.certify import (
@@ -47,6 +49,29 @@ class TestProofLog:
         proof.to_jsonl(path)
         loaded = ProofLog.from_jsonl(path)
         assert loaded.steps == proof.steps
+
+    def test_jsonl_round_trip_keeps_hints(self, tmp_path):
+        solver = SatSolver()
+        proof = solver.enable_proof()
+        _pigeonhole(solver, 5, 4)
+        assert solver.solve() is SatResult.UNSAT
+        assert proof.hints
+        path = tmp_path / "proof.jsonl"
+        proof.to_jsonl(path)
+        loaded = ProofLog.from_jsonl(path)
+        assert loaded.steps == proof.steps
+        assert loaded.hints == proof.hints
+        stats = check_proof(loaded)
+        assert stats["fallback"] == 0
+        assert stats["hinted"] == proof.counts()[STEP_LEARN]
+
+    def test_drup_text_carries_no_hints(self):
+        proof = ProofLog()
+        proof.input([1, 2])
+        proof.input([1, -2])
+        proof.learn([1], hints=[1, 0])
+        assert proof.hints == {2: (0, 1)}
+        assert proof.to_drup() == ProofLog(proof.steps).to_drup() == "1 0\n"
 
     def test_drup_text_has_no_input_clauses(self):
         proof = ProofLog()
@@ -138,6 +163,114 @@ class TestSolverLogging:
         assert solver.solve([a]) is SatResult.SAT
         with pytest.raises(CertificationError):
             check_model(proof, {a: False, b: True}, assumptions=[a])
+
+
+def _solved_php(pigeons=5, holes=4):
+    solver = SatSolver()
+    proof = solver.enable_proof()
+    _pigeonhole(solver, pigeons, holes)
+    assert solver.solve() is SatResult.UNSAT
+    return solver, proof
+
+
+def _learn_steps(proof):
+    return [i for i, (kind, _) in enumerate(proof.steps) if kind == STEP_LEARN]
+
+
+class TestHints:
+    """Hints are untrusted: they may cost time, never change a verdict."""
+
+    def test_every_solver_lemma_is_accepted_through_its_hints(self):
+        _, proof = _solved_php()
+        learned = _learn_steps(proof)
+        assert set(proof.hints) == set(learned)
+        for index in learned:
+            hint = proof.hints[index]
+            assert hint and all(0 <= h < index for h in hint)
+            assert len(set(hint)) == len(hint)
+        stats = check_proof(proof)
+        assert stats["hinted"] == len(learned)
+        assert stats["fallback"] == 0
+
+    def test_hint_less_proof_falls_back_to_full_rup(self):
+        _, proof = _solved_php()
+        stats = check_proof(ProofLog(proof.steps))
+        assert stats["hinted"] == 0
+        assert stats["fallback"] == len(_learn_steps(proof))
+
+    @pytest.mark.parametrize("kind", ["garbage", "out-of-range", "negative",
+                                      "future", "empty", "input-only"])
+    def test_bad_hints_never_change_the_verdict(self, kind):
+        _, proof = _solved_php()
+        rng = random.Random(kind)
+        size = len(proof.steps)
+        bad = {}
+        for index in _learn_steps(proof):
+            if kind == "garbage":
+                bad[index] = tuple(rng.randrange(-size, 2 * size)
+                                   for _ in range(rng.randint(1, 8)))
+            elif kind == "out-of-range":
+                bad[index] = (size + index, 10 ** 9)
+            elif kind == "negative":
+                bad[index] = (-1, -index - 2)
+            elif kind == "future":
+                bad[index] = tuple(range(index, min(size, index + 4)))
+            elif kind == "empty":
+                bad[index] = ()
+            else:   # a single genuine, live but insufficient input clause
+                bad[index] = (0,)
+        stats = check_proof(ProofLog(proof.steps, bad))
+        assert stats["rup_checked"] == len(_learn_steps(proof))
+        assert stats["hinted"] + stats["fallback"] == stats["rup_checked"]
+        if kind != "garbage":
+            assert stats["hinted"] == 0
+
+    def test_hint_to_a_deleted_clause_falls_back(self):
+        proof = ProofLog([
+            (STEP_INPUT, (1, 2, 3)),       # 0
+            (STEP_INPUT, (1, 2, -3)),      # 1
+            (STEP_LEARN, (1, 2)),          # 2
+            (STEP_DELETE, (1, 2, 3)),      # 3: step 0 leaves the database
+            (STEP_LEARN, (1, 2)),          # 4: RUP via step 2
+        ], {2: (0, 1), 4: (0, 1)})
+        stats = check_proof(proof, core=[-1, -2])
+        assert stats["hinted"] == 1        # step 2
+        assert stats["fallback"] == 1      # step 4: its hint names step 0
+
+    def test_non_rup_lemma_with_genuine_hints_is_rejected(self):
+        _, proof = _solved_php()
+        learned = _learn_steps(proof)
+        target = learned[len(learned) // 2]
+        fresh = 1 + max(abs(lit) for _, lits in proof.steps for lit in lits)
+        steps = list(proof.steps)
+        steps.insert(target + 1, (STEP_LEARN, (fresh,)))
+        hints = {(i if i <= target else i + 1):
+                 tuple(h if h <= target else h + 1 for h in hint)
+                 for i, hint in proof.hints.items()}
+        hints[target + 1] = proof.hints[target]
+        with pytest.raises(CertificationError) as err:
+            check_proof(ProofLog(steps, hints))
+        assert f"step {target + 1}" in err.value.reason
+
+    def test_proof_logging_does_not_change_the_search(self):
+        rng = random.Random(7)
+        clauses = [[rng.choice([1, -1]) * rng.randint(1, 40)
+                    for _ in range(3)] for _ in range(170)]
+        counters = []
+        for logging in (False, True):
+            solver = SatSolver()
+            if logging:
+                solver.enable_proof()
+            _pigeonhole(solver, 6, 5)
+            for clause in clauses:
+                solver.add_clause([lit + (30 if lit > 0 else -30)
+                                   for lit in clause])
+            result = solver.solve()
+            counters.append((result, solver.num_conflicts,
+                             solver.num_decisions, solver.num_propagations,
+                             solver.num_learned))
+        assert counters[0] == counters[1]
+        assert counters[0][1] > 100
 
 
 class TestRupChecker:

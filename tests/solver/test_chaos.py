@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.solver.chaos import FAULT_CLASSES, inject, run_chaos
+from repro.solver.certify import STEP_LEARN, check_proof
+from repro.solver.chaos import (
+    FAULT_CLASSES,
+    _edited,
+    _unsat_proof,
+    inject,
+    run_chaos,
+)
 
 
 def test_fault_taxonomy_covers_at_least_six_classes():
@@ -47,3 +54,22 @@ def test_outcome_rows_are_json_shaped():
     row = outcome.row()
     assert set(row) == {"fault", "caught", "detail"}
     assert row["caught"] is True
+
+
+def test_rebuilt_proofs_keep_their_hints():
+    # Proof faults rebuild the log from edited steps; the hints must come
+    # along (re-indexed) so the faults attack the hinted replay.
+    proof = _unsat_proof()
+    same = _edited(proof, list(enumerate(proof.steps)))
+    assert same.hints == proof.hints
+    assert check_proof(same)["fallback"] == 0
+
+    first = next(i for i, (kind, _) in enumerate(proof.steps)
+                 if kind == STEP_LEARN)
+    dropped = _edited(proof, [(i, step) for i, step in enumerate(proof.steps)
+                              if i != first - 1])
+    assert len(dropped.hints) == len(proof.hints)
+    for old, hint in proof.hints.items():
+        assert dropped.hints[old - 1] == tuple(
+            -1 if h == first - 1 else (h - 1 if h > first - 1 else h)
+            for h in hint)

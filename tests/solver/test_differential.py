@@ -19,7 +19,13 @@ import pytest
 
 from repro.smt import terms as T
 from repro.smt.solver import SmtResult, SmtSolver
-from repro.solver.certify import check_model, check_proof
+from repro.solver.certify import (
+    STEP_LEARN,
+    CertificationError,
+    ProofLog,
+    check_model,
+    check_proof,
+)
 from repro.solver.sat import SatResult, SatSolver
 
 WIDTH = 4
@@ -69,6 +75,46 @@ def test_random_cnfs_match_brute_force_with_certification(seed):
     else:
         assert result is SatResult.UNSAT
         check_proof(proof)
+
+
+def _verdict(proof):
+    try:
+        check_proof(proof)
+        return True
+    except CertificationError:
+        return False
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_cnf_proofs_same_verdict_with_and_without_hints(seed):
+    """Hints only pick which clauses to propagate first: the genuine proof
+    and every single-literal mutation of a lemma get the same verdict
+    from the hinted replay as from full RUP with the hints stripped."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(10, 16)
+    # Random 3-CNF around the hard ratio, so most instances are UNSAT
+    # only after real conflict analysis (and carry hints).
+    clauses = [[var if rng.random() < 0.5 else -var
+                for var in rng.sample(range(1, num_vars + 1), 3)]
+               for _ in range(int(num_vars * rng.uniform(5.0, 7.0)))]
+    solver = SatSolver()
+    proof = solver.enable_proof()
+    for clause in clauses:
+        solver.add_clause(clause)
+    if solver.solve() is not SatResult.UNSAT:
+        return
+    proofs = [proof.steps]
+    for index, (kind, lits) in enumerate(proof.steps):
+        if kind == STEP_LEARN:
+            mutated = list(proof.steps)
+            flip = rng.randrange(len(lits))
+            mutated[index] = (kind, tuple(-lit if k == flip else lit
+                                          for k, lit in enumerate(lits)))
+            proofs.append(mutated)
+    for steps in proofs:
+        assert _verdict(ProofLog(steps, proof.hints)) == \
+            _verdict(ProofLog(steps))
+    assert check_proof(proof)["fallback"] == 0
 
 
 def _random_bv(rng, depth, x, y):

@@ -4,6 +4,9 @@ Not a paper artifact — but the paper's Z3 column implicitly benchmarks its
 backend, and ours is home-grown, so its scaling behaviour is worth pinning:
 
 - unit-propagation throughput on long implication chains;
+- SAT-core throughput on the fixed pure-CNF workload whose search the
+  golden test pins (``tests/solver/golden_cnf.py``): the work is the same
+  on every commit, so its seconds compare solver speed alone;
 - CDCL on small pigeonhole instances (the classic resolution-hard family);
 - bit-blasting + solving a multiplier equation (the heaviest circuit the
   SDSLs generate);
@@ -33,6 +36,7 @@ from repro.smt import terms as T
 from repro.smt.solver import SmtResult, SmtSolver
 from repro.solver.budget import Budget
 from repro.solver.sat import SatResult, SatSolver
+from tests.solver.golden_cnf import run_golden, total_effort
 
 _ROWS = []
 _ACTIVE_METRICS = []
@@ -108,6 +112,25 @@ def test_propagation_chain(benchmark):
 
     propagations = benchmark.pedantic(run, rounds=1, iterations=1)
     assert propagations >= 19_999
+
+
+def test_sat_core_throughput(benchmark):
+    """The golden pure-CNF workload: clause building plus search, at
+    fixed conflicts and propagations, so only the speed can change."""
+    def run():
+        started = time.perf_counter()
+        records = run_golden()
+        seconds = time.perf_counter() - started
+        effort = total_effort(records)
+        _record_row("sat_core_throughput", seconds,
+                    conflicts=effort["conflicts"],
+                    propagations=effort["propagations"],
+                    props_per_s=effort["propagations"] / seconds,
+                    conflicts_per_s=effort["conflicts"] / seconds)
+        return effort
+
+    effort = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert effort["conflicts"] > 0 and effort["propagations"] > 0
 
 
 @pytest.mark.parametrize("holes", [5, 6])

@@ -205,7 +205,8 @@ class RupChecker:
     def __init__(self):
         self._assign: List[int] = [_UNASSIGNED]   # 1-indexed by variable
         # watches[l] = clauses currently watching literal l (their lits[0]
-        # or lits[1] is l); examined when l becomes false.
+        # or lits[1] is l); examined when l becomes false. Both literals
+        # of every known variable have an entry.
         self._watches: Dict[int, List[_CClause]] = {}
         self._trail: List[int] = []
         self._by_key: Dict[Tuple[int, ...], List[_CClause]] = {}
@@ -218,14 +219,12 @@ class RupChecker:
     # -- assignment plumbing -------------------------------------------
 
     def _ensure_var(self, var: int) -> None:
-        while len(self._assign) <= var:
-            self._assign.append(_UNASSIGNED)
-
-    def _value(self, lit: int) -> int:
-        assign = self._assign[abs(lit)]
-        if assign == _UNASSIGNED:
-            return _UNASSIGNED
-        return assign if lit > 0 else 1 - assign
+        assign = self._assign
+        while len(assign) <= var:
+            new = len(assign)
+            self._watches[new] = []
+            self._watches[-new] = []
+            assign.append(_UNASSIGNED)
 
     def _set(self, lit: int) -> None:
         self._assign[abs(lit)] = 1 if lit > 0 else 0
@@ -278,11 +277,11 @@ class RupChecker:
                 self._at_root = False
             return clause
         # Two non-false literals exist: put them first and watch them.
-        ordered = nonfalse[:2] + [lit for lit in clause.lits
-                                  if lit not in nonfalse[:2]]
-        clause.lits = ordered
-        self._watches.setdefault(ordered[0], []).append(clause)
-        self._watches.setdefault(ordered[1], []).append(clause)
+        first, second = nonfalse[0], nonfalse[1]
+        clause.lits = [first, second] + [lit for lit in unique
+                                         if lit != first and lit != second]
+        self._watches[first].append(clause)
+        self._watches[second].append(clause)
         return clause
 
     def delete_clause(self, lits: Sequence[int]) -> None:
@@ -299,26 +298,31 @@ class RupChecker:
         if not bucket:
             del self._by_key[key]
         for watched in clause.lits[:2]:
-            watchlist = self._watches.get(watched)
-            if watchlist and clause in watchlist:
+            watchlist = self._watches[watched]
+            if clause in watchlist:
                 watchlist.remove(clause)
 
     # -- propagation ---------------------------------------------------
 
     def _propagate_from(self, start: int) -> Optional[_CClause]:
         """Unit propagation over trail literals from index `start` on;
-        returns the first falsified clause, or None at fixpoint."""
+        returns the first falsified clause, or None at fixpoint.
+
+        A literal is true when its variable's value equals ``lit > 0``
+        (1 or 0) and false when it equals ``lit < 0``; an unassigned
+        variable (-1) equals neither. Each watch list is compacted in
+        place, keeping the order of the clauses that stay.
+        """
         trail = self._trail
         watches = self._watches
+        assign = self._assign
+        at_root = self._at_root
         qhead = start
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
-            watchlist = watches.get(false_lit)
-            if not watchlist:
-                continue
-            kept: List[_CClause] = []
-            i = 0
+            watchlist = watches[false_lit]
+            i = j = 0
             n = len(watchlist)
             while i < n:
                 clause = watchlist[i]
@@ -327,27 +331,27 @@ class RupChecker:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], false_lit
                 first = lits[0]
-                if self._value(first) == 1:
-                    kept.append(clause)    # satisfied via the other watch
+                value = assign[first if first > 0 else -first]
+                if value == (first > 0):
+                    watchlist[j] = clause    # satisfied via the other watch
+                    j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], false_lit
-                        watches.setdefault(lits[1], []).append(clause)
-                        moved = True
+                    other = lits[k]
+                    if assign[other if other > 0 else -other] != (other < 0):
+                        lits[1], lits[k] = other, false_lit
+                        watches[other].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if self._value(first) == 0:
-                    kept.extend(watchlist[i:])
-                    watches[false_lit] = kept
-                    return clause          # all literals false: conflict
-                self._set(first)           # unit
-                if self._at_root:
-                    self._root_reasons.add(id(clause))
-            watches[false_lit] = kept
+                else:
+                    watchlist[j] = clause
+                    j += 1
+                    if value == (first < 0):
+                        del watchlist[j:i]
+                        return clause          # all literals false: conflict
+                    self._set(first)           # unit
+                    if at_root:
+                        self._root_reasons.add(id(clause))
+            del watchlist[j:]
         return None
 
     # -- checks --------------------------------------------------------
@@ -363,9 +367,10 @@ class RupChecker:
         conflict = False
         try:
             for lit in lits:
-                self._ensure_var(abs(lit))
-                value = self._value(lit)
-                if value == 0:
+                var = -lit if lit < 0 else lit
+                self._ensure_var(var)
+                value = self._assign[var]
+                if value == (lit < 0):     # lit is false
                     conflict = True
                     break
                 if value == _UNASSIGNED:

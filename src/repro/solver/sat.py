@@ -10,6 +10,8 @@ of assumptions used in the final conflict (an unsat core).
 Variables are integers ``1..n`` externally (DIMACS convention) and literals
 are signed ints. Internally literals are encoded as ``2*v`` (positive) and
 ``2*v + 1`` (negative) over zero-based variables, so negation is ``lit ^ 1``.
+Assignments are stored per internal literal (``_vals``), so testing a
+literal is one list read; variable ``v``'s value is ``_vals[2*v]``.
 
 With :meth:`SatSolver.enable_proof` the solver additionally emits a DRUP
 proof (original, learned, and deleted clauses) into a
@@ -26,7 +28,7 @@ search.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.events import BUS
 from repro.solver.budget import Budget
@@ -104,15 +106,15 @@ class SatSolver:
 
     def __init__(self):
         self._num_vars = 0
+        # Per-literal state (internal encoding).
+        self._vals: List[int] = []         # _UNASSIGNED / 0 (false) / 1 (true)
+        self._watches: List[List[_Clause]] = []
         # Per-variable state.
-        self._assigns: List[int] = []      # _UNASSIGNED / 0 (false) / 1 (true)
         self._level: List[int] = []        # decision level of assignment
         self._reason: List[Optional[_Clause]] = []
         self._activity: List[float] = []
         self._polarity: List[int] = []     # saved phase: 0 false, 1 true
         self._seen: List[int] = []         # scratch for conflict analysis
-        # Per-literal state (internal encoding).
-        self._watches: List[List[_Clause]] = []
         # Trail.
         self._trail: List[int] = []        # internal literals, in order
         self._trail_lim: List[int] = []    # trail index at each decision level
@@ -126,7 +128,7 @@ class SatSolver:
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
         self._order: List[int] = []        # lazy max-activity queue (heap)
-        self._order_pos: Dict[int, int] = {}
+        self._order_pos: List[int] = []    # heap index per variable, -1 if out
         # Results.
         self._ok = True                    # False once a toplevel conflict
         self._model: Optional[List[int]] = None
@@ -175,29 +177,19 @@ class SatSolver:
 
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its external (1-based) index."""
+        var = self._num_vars
         self._num_vars += 1
-        self._assigns.append(_UNASSIGNED)
+        self._vals += (_UNASSIGNED, _UNASSIGNED)
+        self._watches += ([], [])
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
         self._polarity.append(0)
         self._seen.append(0)
-        self._watches.append([])
-        self._watches.append([])
-        var = self._num_vars - 1
-        self._heap_insert(var)
+        # Activity 0.0 is the least there is: the heap's last slot is right.
+        self._order_pos.append(len(self._order))
+        self._order.append(var)
         return self._num_vars
-
-    def _ensure_vars(self, ext_lits: Iterable[int]) -> None:
-        top = max((abs(lit) for lit in ext_lits), default=0)
-        while self._num_vars < top:
-            self.new_var()
-
-    @staticmethod
-    def _to_internal(ext_lit: int) -> int:
-        if ext_lit > 0:
-            return (ext_lit - 1) << 1
-        return ((-ext_lit - 1) << 1) | 1
 
     @staticmethod
     def _to_external(int_lit: int) -> int:
@@ -215,25 +207,30 @@ class SatSolver:
             step = self.proof.input(ext_lits)
         if not self._ok:
             return False
-        self._ensure_vars(ext_lits)
-        lits = [self._to_internal(lit) for lit in ext_lits]
-        # Remove duplicates; drop tautologies.
-        lits = sorted(set(lits))
+        # Internal literals: 2*(v-1) for +v and 2*(v-1)+1 for -v.
+        lits = {(lit << 1) - 2 if lit > 0 else -1 - (lit << 1)
+                for lit in ext_lits}
+        ordered = sorted(lits)
+        top = (ordered[-1] >> 1) + 1 if ordered else 0
+        while self._num_vars < top:
+            self.new_var()
+        vals = self._vals
+        levels = self._level
         out: List[int] = []
-        for lit in lits:
-            if lit ^ 1 in out:
+        for lit in ordered:
+            if lit ^ 1 in lits:
                 return True  # tautology: x | ~x
-            value = self._lit_value(lit)
-            if value == 1 and self._level[lit >> 1] == 0:
-                return True  # already satisfied at toplevel
-            if value == 0 and self._level[lit >> 1] == 0:
-                continue     # already falsified at toplevel: drop literal
+            value = vals[lit]
+            if value >= 0 and levels[lit >> 1] == 0:
+                if value:
+                    return True  # already satisfied at toplevel
+                continue         # already falsified at toplevel: drop literal
             out.append(lit)
         if not out:
             self._ok = False
             return False
         if len(out) == 1:
-            if self._decision_level() != 0:
+            if self._trail_lim:
                 raise RuntimeError("unit clauses must be added at level 0")
             if not self._enqueue(out[0], None):
                 self._ok = False
@@ -250,27 +247,18 @@ class SatSolver:
     # Core machinery
     # ------------------------------------------------------------------
 
-    def _lit_value(self, lit: int) -> int:
-        """Value of an internal literal: 0/1 or _UNASSIGNED."""
-        assign = self._assigns[lit >> 1]
-        if assign == _UNASSIGNED:
-            return _UNASSIGNED
-        return assign ^ (lit & 1)
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _attach(self, clause: _Clause) -> None:
         self._watches[clause.lits[0] ^ 1].append(clause)
         self._watches[clause.lits[1] ^ 1].append(clause)
 
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        value = self._lit_value(lit)
+        vals = self._vals
+        value = vals[lit]
         if value != _UNASSIGNED:
             return value == 1
+        vals[lit], vals[lit ^ 1] = 1, 0
         var = lit >> 1
-        self._assigns[var] = 1 - (lit & 1)
-        self._level[var] = self._decision_level()
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
         return True
@@ -279,72 +267,73 @@ class SatSolver:
         """Unit propagation; returns a conflicting clause or None.
 
         This is the solver's hot loop: instance attributes are cached in
-        locals and the unit-assignment path of ``_enqueue`` is inlined.
+        locals, the unit-assignment path of ``_enqueue`` is inlined, and
+        each watch list is compacted in place (``i`` reads, ``j`` writes),
+        keeping the order of the clauses that stay.
         """
-        watches = self._watches
-        assigns = self._assigns
-        levels = self._level
-        reasons = self._reason
-        trail = self._trail
+        watches, vals, trail = self._watches, self._vals, self._trail
+        levels, reasons = self._level, self._reason
         decision_level = len(self._trail_lim)
-        qhead = self._qhead
-        processed = 0
+        qhead = start = self._qhead
         try:
             while qhead < len(trail):
                 lit = trail[qhead]
                 qhead += 1
-                processed += 1
                 false_lit = lit ^ 1
                 watchlist = watches[lit]
-                new_watchlist: List[_Clause] = []
-                append_watch = new_watchlist.append
-                i = 0
+                i = j = 0
                 n = len(watchlist)
                 while i < n:
                     clause = watchlist[i]
                     i += 1
                     lits = clause.lits
                     # Normalize: make sure the false literal is lits[1].
-                    if lits[0] == false_lit:
-                        lits[0] = lits[1]
-                        lits[1] = false_lit
                     first = lits[0]
+                    if first == false_lit:
+                        first = lits[0] = lits[1]
+                        lits[1] = false_lit
                     # If the other watch is true, the clause is satisfied.
-                    value0 = assigns[first >> 1]
-                    if value0 >= 0 and (value0 ^ (first & 1)) == 1:
-                        append_watch(clause)
+                    value = vals[first]
+                    if value == 1:
+                        watchlist[j] = clause
+                        j += 1
                         continue
-                    # Look for a new literal to watch.
-                    found = False
-                    for k in range(2, len(lits)):
-                        other = lits[k]
-                        other_value = assigns[other >> 1]
-                        if other_value < 0 or \
-                                (other_value ^ (other & 1)) == 1:
-                            lits[1] = other
+                    # Look for a new literal to watch: any non-false one.
+                    # Most clauses are ternary Tseitin gates: one probe.
+                    size = len(lits)
+                    if size == 3:
+                        other = lits[2]
+                        if vals[other]:
+                            lits[1], lits[2] = other, false_lit
+                            watches[other ^ 1].append(clause)
+                            continue
+                    elif size > 3:
+                        k = 2
+                        while k < size and not vals[lits[k]]:
+                            k += 1
+                        if k < size:
+                            other = lits[1] = lits[k]
                             lits[k] = false_lit
                             watches[other ^ 1].append(clause)
-                            found = True
-                            break
-                    if found:
-                        continue
+                            continue
                     # Clause is unit or conflicting under lits[0].
-                    append_watch(clause)
-                    if value0 >= 0:  # lits[0] is false: conflict
-                        new_watchlist.extend(watchlist[i:])
-                        watches[lit] = new_watchlist
-                        qhead = len(trail)
+                    watchlist[j] = clause
+                    j += 1
+                    if value == 0:  # lits[0] is false: conflict
+                        del watchlist[j:i]
                         return clause
                     # Inlined _enqueue of an unassigned literal.
+                    vals[first], vals[first ^ 1] = 1, 0
                     var = first >> 1
-                    assigns[var] = 1 - (first & 1)
                     levels[var] = decision_level
                     reasons[var] = clause
                     trail.append(first)
-                watches[lit] = new_watchlist
+                del watchlist[j:]
             return None
         finally:
-            self._qhead = qhead
+            # A conflict skips the rest of the queue: backjumping undoes it.
+            self._qhead = len(trail)
+            processed = qhead - start
             self.num_propagations += processed
             if self.budget is not None and processed:
                 self.budget.charge_propagations(processed)
@@ -360,63 +349,63 @@ class SatSolver:
         (the conflict, each expanded reason, each reason minimization
         used) are collected in ``self._hints`` for :meth:`ProofLog.learn`.
         """
-        seen = self._seen
+        seen, levels, reasons, trail = \
+            self._seen, self._level, self._reason, self._trail
+        bump_var = self._bump_var
+        decision_level = len(self._trail_lim)
         learnt: List[int] = [0]  # placeholder for the asserting literal
         counter = 0
         lit = -1
-        index = len(self._trail) - 1
-        clause: Optional[_Clause] = confl
+        index = len(trail) - 1
+        clause: _Clause = confl
         hints = self._hints = [] if self.proof is not None else None
         while True:
-            assert clause is not None
             if hints is not None:
                 hints.append(clause.step)
             if clause.learnt:
                 self._bump_clause(clause)
-            start = 0 if lit == -1 else 1
-            for k in range(start, len(clause.lits)):
-                q = clause.lits[k]
+            # A reason clause stores the literal it implied first: skip it.
+            lits = clause.lits
+            for q in (lits if lit == -1 else lits[1:]):
                 var = q >> 1
-                if not seen[var] and self._level[var] > 0:
+                if not seen[var] and levels[var] > 0:
                     seen[var] = 1
-                    self._bump_var(var)
-                    if self._level[var] == self._decision_level():
+                    bump_var(var)
+                    if levels[var] == decision_level:
                         counter += 1
                     else:
                         learnt.append(q)
             # Select the next trail literal to expand.
-            while not seen[self._trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            lit = self._trail[index]
+            lit = trail[index]
             index -= 1
             var = lit >> 1
-            clause = self._reason[var]
+            clause = reasons[var]
             seen[var] = 0
             counter -= 1
             if counter == 0:
                 break
-            # Put the conflicting side of `lit` at position 0 of its reason
-            # clause when expanding (reason clauses store it first already).
         learnt[0] = lit ^ 1
 
         # Clause minimization: drop literals implied by the rest.
         abstract_levels = 0
         for q in learnt[1:]:
-            abstract_levels |= 1 << (self._level[q >> 1] & 31)
-        self._min_clear: List[int] = []
+            abstract_levels |= 1 << (levels[q >> 1] & 31)
+        min_clear: List[int] = []
         minimized = [learnt[0]]
         redundant: List[int] = []
         for q in learnt[1:]:
-            if self._reason[q >> 1] is None or not self._lit_redundant(q, abstract_levels):
+            if reasons[q >> 1] is None or \
+                    not self._lit_redundant(q, abstract_levels, min_clear):
                 minimized.append(q)
             elif hints is not None:
                 redundant.append(q >> 1)
         if redundant:
             # Minimization expanded the reasons of the dropped literals
             # and of every variable it marked on the way.
-            hints.extend(reversed(
-                self._hint_order(redundant + self._min_clear)))
-        for var in self._min_clear:
+            hints.extend(reversed(self._hint_order(redundant + min_clear)))
+        for var in min_clear:
             seen[var] = 0
         for q in learnt:
             seen[q >> 1] = 0
@@ -427,37 +416,41 @@ class SatSolver:
             bt_level = 0
         else:
             max_i = 1
+            bt_level = levels[learnt[1] >> 1]
             for k in range(2, len(learnt)):
-                if self._level[learnt[k] >> 1] > self._level[learnt[max_i] >> 1]:
+                level = levels[learnt[k] >> 1]
+                if level > bt_level:
                     max_i = k
+                    bt_level = level
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt_level = self._level[learnt[1] >> 1]
         return learnt, bt_level
 
-    def _lit_redundant(self, lit: int, abstract_levels: int) -> bool:
-        """True if `lit` is implied by other literals in the learnt clause."""
-        seen = self._seen
+    def _lit_redundant(self, lit: int, abstract_levels: int,
+                       min_clear: List[int]) -> bool:
+        """True if `lit` is implied by other literals in the learnt clause.
+
+        Variables it marks are recorded in `min_clear`; on failure the
+        marks of this call are undone and removed again.
+        """
+        seen, levels, reasons = self._seen, self._level, self._reason
         stack = [lit]
-        top = len(self._min_clear)
+        top = len(min_clear)
         while stack:
-            p = stack.pop()
-            reason = self._reason[p >> 1]
-            assert reason is not None
-            for q in reason.lits[1:]:
+            for q in reasons[stack.pop() >> 1].lits[1:]:
                 var = q >> 1
-                if seen[var] or self._level[var] == 0:
+                if seen[var] or levels[var] == 0:
                     continue
-                if self._reason[var] is None or \
-                        not ((1 << (self._level[var] & 31)) & abstract_levels):
-                    for cleared in self._min_clear[top:]:
+                if reasons[var] is None or \
+                        not ((1 << (levels[var] & 31)) & abstract_levels):
+                    for cleared in min_clear[top:]:
                         seen[cleared] = 0
-                    del self._min_clear[top:]
+                    del min_clear[top:]
                     return False
                 seen[var] = 1
-                self._min_clear.append(var)
+                min_clear.append(var)
                 stack.append(q)
         # Marks set here persist so later redundancy checks can reuse them;
-        # the caller clears everything recorded in _min_clear afterwards.
+        # the caller clears everything recorded in min_clear afterwards.
         return True
 
     def _hint_order(self, variables: List[int]) -> List[int]:
@@ -497,7 +490,7 @@ class SatSolver:
         given (including `lit` itself).
         """
         core = [self._to_external(lit)]
-        if self._decision_level() == 0:
+        if not self._trail_lim:
             return core
         seen = self._seen
         seen[lit >> 1] = 1
@@ -524,13 +517,27 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for i in range(self._num_vars):
-                self._activity[i] *= 1e-100
+        activity = self._activity
+        act = activity[var] + self._var_inc
+        activity[var] = act
+        if act > 1e100:
+            activity[:] = [a * 1e-100 for a in activity]
             self._var_inc *= 1e-100
-        if var in self._order_pos:
-            self._heap_up(self._order_pos[var])
+            act = activity[var]
+        pos = self._order_pos[var]
+        if pos > 0:
+            # Sift up: the variable's activity only grew.
+            order, order_pos = self._order, self._order_pos
+            while pos > 0:
+                parent = (pos - 1) >> 1
+                pvar = order[parent]
+                if activity[pvar] >= act:
+                    break
+                order[pos] = pvar
+                order_pos[pvar] = pos
+                pos = parent
+            order[pos] = var
+            order_pos[var] = pos
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.activity += self._cla_inc
@@ -539,62 +546,34 @@ class SatSolver:
                 learnt.activity *= 1e-20
             self._cla_inc *= 1e-20
 
-    def _heap_insert(self, var: int) -> None:
-        if var in self._order_pos:
-            return
-        self._order.append(var)
-        pos = len(self._order) - 1
-        self._order_pos[var] = pos
-        self._heap_up(pos)
-
-    def _heap_up(self, pos: int) -> None:
-        order, order_pos, activity = self._order, self._order_pos, self._activity
-        var = order[pos]
-        act = activity[var]
-        while pos > 0:
-            parent = (pos - 1) >> 1
-            pvar = order[parent]
-            if activity[pvar] >= act:
-                break
-            order[pos] = pvar
-            order_pos[pvar] = pos
-            pos = parent
-        order[pos] = var
-        order_pos[var] = pos
-
-    def _heap_down(self, pos: int) -> None:
-        order, order_pos, activity = self._order, self._order_pos, self._activity
-        size = len(order)
-        var = order[pos]
-        act = activity[var]
-        while True:
-            left = 2 * pos + 1
-            if left >= size:
-                break
-            best = left
-            right = left + 1
-            if right < size and activity[order[right]] > activity[order[left]]:
-                best = right
-            bvar = order[best]
-            if activity[bvar] <= act:
-                break
-            order[pos] = bvar
-            order_pos[bvar] = pos
-            pos = best
-        order[pos] = var
-        order_pos[var] = pos
-
     def _heap_pop(self) -> Optional[int]:
-        order, order_pos = self._order, self._order_pos
+        """Remove max-activity variables until an unassigned one is found."""
+        order, order_pos, activity = self._order, self._order_pos, self._activity
+        vals = self._vals
         while order:
             top = order[0]
             last = order.pop()
-            del order_pos[top]
-            if order:
-                order[0] = last
-                order_pos[last] = 0
-                self._heap_down(0)
-            if self._assigns[top] == _UNASSIGNED:
+            order_pos[top] = -1
+            size = len(order)
+            if size:
+                # Sift the last leaf down from the root.
+                act = activity[last]
+                pos = 0
+                left = 1
+                while left < size:
+                    right = left + 1
+                    best = right if right < size and \
+                        activity[order[right]] > activity[order[left]] else left
+                    bvar = order[best]
+                    if activity[bvar] <= act:
+                        break
+                    order[pos] = bvar
+                    order_pos[bvar] = pos
+                    pos = best
+                    left = 2 * pos + 1
+                order[pos] = last
+                order_pos[last] = pos
+            if vals[top << 1] == _UNASSIGNED:
                 return top
         return None
 
@@ -603,32 +582,47 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for index in range(len(self._trail) - 1, bound - 1, -1):
-            lit = self._trail[index]
+        trail, vals = self._trail, self._vals
+        polarity, reasons = self._polarity, self._reason
+        order, order_pos, activity = self._order, self._order_pos, self._activity
+        bound = trail_lim[level]
+        for lit in reversed(trail[bound:]):
             var = lit >> 1
-            self._polarity[var] = self._assigns[var]
-            self._assigns[var] = _UNASSIGNED
-            self._reason[var] = None
-            self._heap_insert(var)
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            polarity[var] = (lit & 1) ^ 1    # the phase it had: lit was true
+            vals[lit] = vals[lit ^ 1] = _UNASSIGNED
+            reasons[var] = None
+            if order_pos[var] < 0:
+                # Back into the heap: append, then sift up.
+                pos = len(order)
+                order.append(var)
+                act = activity[var]
+                while pos > 0:
+                    parent = (pos - 1) >> 1
+                    pvar = order[parent]
+                    if activity[pvar] >= act:
+                        break
+                    order[pos] = pvar
+                    order_pos[pvar] = pos
+                    pos = parent
+                order[pos] = var
+                order_pos[var] = pos
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     def _reduce_db(self) -> None:
         """Drop the less active half of the learned clauses."""
         self._learnts.sort(key=lambda c: c.activity)
         keep_from = len(self._learnts) // 2
-        locked = set()
-        for var in range(self._num_vars):
-            reason = self._reason[var]
-            if reason is not None and reason.learnt:
-                locked.add(id(reason))
+        # Reasons of assigned literals are locked; only those have one.
+        reasons = self._reason
+        locked = {reasons[lit >> 1] for lit in self._trail}
         kept: List[_Clause] = []
         for i, clause in enumerate(self._learnts):
-            if i >= keep_from or id(clause) in locked or len(clause.lits) == 2:
+            if i >= keep_from or clause in locked or len(clause.lits) == 2:
                 kept.append(clause)
             else:
                 self._detach(clause)
@@ -676,15 +670,13 @@ class SatSolver:
             return SatResult.UNSAT
         if self.budget is not None:
             self.budget.start()
-            reason = self.budget.exceeded()
-            if reason is not None:
-                self.interrupt_reason = reason
-                if BUS.enabled:
-                    BUS.instant("sat.budget_trip", "sat", reason=reason,
-                                phase="search")
+            if self._budget_tripped():
                 return SatResult.UNKNOWN
-        self._ensure_vars(assumptions)
-        internal_assumptions = [self._to_internal(lit) for lit in assumptions]
+        top = max(map(abs, assumptions), default=0)
+        while self._num_vars < top:
+            self.new_var()
+        internal_assumptions = [(lit << 1) - 2 if lit > 0 else -1 - (lit << 1)
+                                for lit in assumptions]
 
         max_learnts = max(1000, len(self._clauses) // 3)
         restart_index = 0
@@ -710,6 +702,17 @@ class SatSolver:
             max_learnts = int(max_learnts * 1.1)
             self._cancel_until(0)
 
+    def _budget_tripped(self) -> bool:
+        """Ask the budget; on a trip record and announce which limit."""
+        reason = self.budget.exceeded()
+        if reason is None:
+            return False
+        self.interrupt_reason = reason
+        if BUS.enabled:
+            BUS.instant("sat.budget_trip", "sat", reason=reason,
+                        phase="search")
+        return True
+
     def _search(self, assumptions: List[int], restart_limit: int,
                 max_learnts: int) -> Optional[SatResult]:
         budget = self.budget
@@ -724,19 +727,14 @@ class SatSolver:
                     BUS.instant("sat.conflicts", "sat",
                                 conflicts=self.num_conflicts,
                                 learned=self.num_learned)
-                if self._decision_level() == 0:
+                if not self._trail_lim:
                     self._ok = False
                     return SatResult.UNSAT
                 if budget is not None:
                     # Charge before analysis so a tripped budget skips the
                     # (possibly large) learning work for this conflict.
                     budget.charge_conflict()
-                    reason = budget.exceeded()
-                    if reason is not None:
-                        self.interrupt_reason = reason
-                        if BUS.enabled:
-                            BUS.instant("sat.budget_trip", "sat",
-                                        reason=reason, phase="search")
+                    if self._budget_tripped():
                         return SatResult.UNKNOWN
                 learnt, bt_level = self._analyze(confl)
                 self.num_learned += 1
@@ -772,21 +770,16 @@ class SatSolver:
             if budget is not None:
                 # Decision-loop checkpoint: catches deadline expiry and
                 # cancellation on propagation-heavy runs with few conflicts.
-                reason = budget.exceeded()
-                if reason is not None:
-                    self.interrupt_reason = reason
-                    if BUS.enabled:
-                        BUS.instant("sat.budget_trip", "sat",
-                                    reason=reason, phase="search")
+                if self._budget_tripped():
                     return SatResult.UNKNOWN
             if len(self._learnts) >= max_learnts + len(self._trail):
                 self._reduce_db()
 
             # Decide: assumptions first, then VSIDS.
-            level = self._decision_level()
+            level = len(self._trail_lim)
             if level < len(assumptions):
                 lit = assumptions[level]
-                value = self._lit_value(lit)
+                value = self._vals[lit]
                 if value == 1:
                     # Already implied: open an empty decision level for it.
                     self._trail_lim.append(len(self._trail))
@@ -801,7 +794,7 @@ class SatSolver:
 
             var = self._heap_pop()
             if var is None:
-                self._model = list(self._assigns)
+                self._model = self._vals[0::2]
                 return SatResult.SAT
             self.num_decisions += 1
             lit = (var << 1) | (1 - self._polarity[var])
@@ -813,16 +806,23 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def model_value(self, ext_var: int) -> Optional[bool]:
-        """Truth value of a variable in the last satisfying assignment."""
-        if self._model is None:
+        """Truth value of a variable in the last satisfying assignment.
+
+        None when there is no model, or the variable is unassigned in it
+        or was created after it.
+        """
+        model = self._model
+        if model is None or not 0 < ext_var <= len(model):
             return None
-        value = self._model[ext_var - 1]
-        if value == _UNASSIGNED:
-            return None
-        return bool(value)
+        value = model[ext_var - 1]
+        return None if value == _UNASSIGNED else bool(value)
 
     def model(self) -> Dict[int, bool]:
-        """The last satisfying assignment as a dict (unassigned vars True)."""
+        """The last satisfying assignment as a dict.
+
+        Unassigned variables map to False; variables created after the
+        model are absent.
+        """
         return {
             var + 1: (value == 1)
             for var, value in enumerate(self._model or [])

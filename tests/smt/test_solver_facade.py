@@ -56,6 +56,21 @@ class TestCheck:
         model = solver.model([x])
         assert model.evaluate(T.mk_add(x, bv(1))) == 7
 
+    def test_model_after_asserting_a_fresh_variable(self):
+        # The model predates `x`'s bits: x gets the default value, as a
+        # variable that never reached the bit-blaster would.
+        y = T.bv_var("fm_old", 4)
+        solver = SmtSolver()
+        solver.add_assertion(T.mk_eq(y, bv(3)))
+        assert solver.check() is SmtResult.SAT
+        x = T.bv_var("fm_new", 4)
+        solver.add_assertion(T.mk_eq(x, bv(5)))
+        model = solver.model()
+        assert model[y] == 3
+        assert model[x] == 0
+        assert solver.check() is SmtResult.SAT
+        assert solver.model()[x] == 5
+
 
 class TestAssumptions:
     def test_sat_under_assumptions(self):

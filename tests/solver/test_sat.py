@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.solver.sat import SatResult, SatSolver, _luby
 
+from golden_cnf import run_golden
+
 
 def brute_force_sat(num_vars, clauses):
     """Reference decision procedure by exhaustive enumeration."""
@@ -100,6 +102,33 @@ class TestBasics:
                     solver.add_clause([-var[(p1, h)], -var[(p2, h)]])
         solver.max_conflicts = 1
         assert solver.solve() in (SatResult.UNKNOWN, SatResult.UNSAT)
+
+
+class TestModelAccess:
+    def test_no_model_before_solve(self):
+        solver = SatSolver()
+        x = solver.new_var()
+        assert solver.model_value(x) is None
+        assert solver.model() == {}
+
+    def test_variable_newer_than_the_model(self):
+        solver = SatSolver()
+        x = solver.new_var()
+        solver.add_clause([x])
+        assert solver.solve() is SatResult.SAT
+        y = solver.new_var()
+        solver.add_clause([-y, x])
+        assert solver.model_value(y) is None
+        assert solver.model_value(x) is True
+        assert solver.model() == {x: True}
+
+    def test_snapshot_is_the_per_variable_value_list(self):
+        solver = SatSolver()
+        x, y = solver.new_var(), solver.new_var()
+        solver.add_clause([x])
+        solver.add_clause([-y])
+        assert solver.solve() is SatResult.SAT
+        assert solver.model_snapshot() == [1, 0]
 
 
 class TestAssumptions:
@@ -199,3 +228,62 @@ class TestAgainstBruteForce:
             assert set(core) <= set(assumptions)
             with_core = clauses + [[lit] for lit in core]
             assert not brute_force_sat(num_vars, with_core)
+
+
+# The exact search effort of the golden workload (golden_cnf.py). A
+# change that only makes the solver faster must leave every number here
+# unchanged: the same decisions, conflicts, propagations, cores, models
+# and proof.
+_UNSAT = "dc937b59892604f5"    # digest of the absent model (None)
+GOLDEN_ONE_SHOT = {
+    "3cnf-3": dict(result="sat", conflicts=674, decisions=844,
+                   propagations=22706, model="2f0f387438e1bca4"),
+    "3cnf-4": dict(result="unsat", conflicts=2544, decisions=3027,
+                   propagations=78618, model=_UNSAT),
+    "php-7-6": dict(result="unsat", conflicts=814, decisions=958,
+                    propagations=10766, model=_UNSAT),
+}
+# (result, core, conflicts, decisions, propagations, model), cumulative.
+GOLDEN_INCREMENTAL = [
+    ("sat", [], 234, 346, 7777, "230ccdb5286f2352"),
+    ("sat", [], 769, 1052, 27000, "920951080c286ef2"),
+    ("sat", [], 769, 1080, 27150, "910d499d157d149e"),
+    ("unsat", [109, 33, -122, -84, 103], 1173, 1587, 40022, _UNSAT),
+    ("sat", [], 1187, 1636, 40559, "96bdd2244f988335"),
+    ("unsat", [57, -33, 92, 32, -52, -55], 1320, 1818, 45049, _UNSAT),
+    ("unsat", [-50, -15, 90, 63, 118, -87, 75, -77], 1375, 1897, 46852,
+     _UNSAT),
+    ("unsat", [146, -100, -130, -21, 4, -84, 51, -29], 1550, 2139, 52480,
+     _UNSAT),
+    ("unsat", [45, 4, 14, -113, 35, -143, 48, -144, 33], 1568, 2170, 53035,
+     _UNSAT),
+    ("unsat", [139, -10, 120, 106, 53, -134, -50, -2, 99, 128, 23], 1588,
+     2208, 53575, _UNSAT),
+]
+GOLDEN_PROOF = dict(steps=2774, proof="3997204abbc3871f")
+
+
+class TestGoldenSearch:
+    """The search itself is pinned, not just the answers."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return run_golden()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ONE_SHOT))
+    def test_one_shot_effort(self, records, name):
+        assert records[name] == GOLDEN_ONE_SHOT[name]
+
+    def test_incremental_effort_and_cores(self, records):
+        keys = ("result", "core", "conflicts", "decisions", "propagations",
+                "model")
+        calls = [tuple(call[key] for key in keys)
+                 for call in records["incremental"]["calls"]]
+        assert calls == GOLDEN_INCREMENTAL
+
+    def test_proof_logging_run(self, records):
+        logged = records["incremental-proof"]
+        # Logging a proof never changes the search ...
+        assert logged["calls"] == records["incremental"]["calls"]
+        # ... and the logged steps and hints are pinned too.
+        assert {key: logged[key] for key in GOLDEN_PROOF} == GOLDEN_PROOF

@@ -27,6 +27,7 @@ CR4v  9      10            5
 
 import pytest
 
+from repro.queries import Budget, SolveOptions
 from repro.sym import set_default_int_width
 from repro.sdsl.ifcl import BUGGY_MACHINES, CORRECT_MACHINES, eeni_check
 
@@ -57,6 +58,11 @@ CAPPED = {"CR1", "CR4", "CR2", "CR3"}
 _QUICK_CAP = 300_000
 
 
+def _capped(cap):
+    """Solver options with a conflict cap; the defaults when `cap` is None."""
+    return None if cap is None else SolveOptions(budget=Budget(conflicts=cap))
+
+
 def _row(name: str, bound: int, result) -> str:
     stats = result.stats
     return (f"{name}v  joins={stats.joins:<7} count={stats.unions_created:<6} "
@@ -74,7 +80,7 @@ def test_ifcl_verify(benchmark, name, bound, paper_bound):
     cap = _QUICK_CAP if name in CAPPED else None
 
     def run():
-        return eeni_check(semantics, bound, max_conflicts=cap)
+        return eeni_check(semantics, bound, options=_capped(cap))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\nTable 3/4 row:", _row(name, bound, result),
@@ -103,7 +109,7 @@ def test_ifcl_verify_deep(benchmark, name, bound, paper_bound):
     cap = 2_000_000 if name in BEST_EFFORT else None
 
     def run():
-        return eeni_check(semantics, bound, max_conflicts=cap)
+        return eeni_check(semantics, bound, options=_capped(cap))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\nTable 3/4 row:", _row(name, bound, result),

@@ -62,7 +62,7 @@ def measure():
         outcome = _workload()
     finally:
         unsubscribe()
-    conflicts = outcome.stats.solver_conflicts
+    conflicts = outcome.stats.solver.conflicts
     # Every emitted event came from one guarded site; conflicts execute
     # the milestone guard each time but emit only every 1024th.
     site_executions = sink.count + conflicts

@@ -26,6 +26,7 @@ numbers.
 import json
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ import pytest
 from repro.obs.events import BUS
 from repro.obs.metrics import BusMetrics
 from repro.smt import terms as T
-from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.solver import SmtResult, SmtSolver, SolveOptions
 from repro.solver.budget import Budget
 from repro.solver.sat import SatResult, SatSolver
 from tests.solver.golden_cnf import run_golden, total_effort
@@ -282,7 +283,7 @@ def test_budgeted_incremental_factoring(benchmark, budget_ms):
         budget = Budget(ms=budget_ms)
         x = T.bv_var("bud_bench_x", WIDTH)
         y = T.bv_var("bud_bench_y", WIDTH)
-        solver = SmtSolver(budget=budget)
+        solver = SmtSolver(SolveOptions(budget=budget))
         product = T.mk_mul(x, y)
         sats = unknowns = 0
         for target in FACTOR_TARGETS:
@@ -314,7 +315,7 @@ def test_budgeted_incremental_factoring(benchmark, budget_ms):
 def test_certified_factoring_overhead(benchmark, certify_enabled):
     """The factoring sweep with trust-but-verify on (``--certify``).
 
-    Runs the incremental sweep twice — plain, then with ``certify=True``
+    Runs the incremental sweep twice — plain, then certified
     (DRUP proof logging, every SAT answer's model re-checked clause by
     clause and re-evaluated at the term level, plus one UNSAT scope whose
     proof is replayed) — and records the overhead ratio. The design
@@ -326,7 +327,7 @@ def test_certified_factoring_overhead(benchmark, certify_enabled):
         started = time.perf_counter()
         x = T.bv_var(f"{prefix}_x", WIDTH)
         y = T.bv_var(f"{prefix}_y", WIDTH)
-        solver = SmtSolver(certify=certify)
+        solver = SmtSolver(SolveOptions(certify=certify))
         product = T.mk_mul(x, y)
         sats = 0
         for target in FACTOR_TARGETS:
@@ -398,7 +399,7 @@ def test_sanitized_factoring(benchmark, sanitize_enabled):
         y = T.bv_var(f"{prefix}_y", WIDTH)
         sats = clauses = rewrites = 0
         for target in FACTOR_TARGETS:
-            solver = SmtSolver(analyze=analyze)
+            solver = SmtSolver(SolveOptions(analyze=analyze))
             payload = [
                 T.mk_eq(T.mk_mul(x, y), T.bv_const(target, WIDTH)),
                 T.mk_ult(T.bv_const(1, WIDTH), x),
@@ -423,7 +424,7 @@ def test_sanitized_factoring(benchmark, sanitize_enabled):
                 results[key] = _sweep(analyze, guarded,
                                       f"san_{key}")
         for key in ("guarded_off", "plain_off", "plain_on"):
-            assert results[key][3] == 0  # rewrites only with analyze=True
+            assert results[key][3] == 0  # rewrites only with analysis on
         reduction = 1 - results["guarded_on"][2] / results["guarded_off"][2]
         plain_ratio = results["plain_on"][2] / results["plain_off"][2]
         print(f"\nsanitized factoring: guarded clauses "
@@ -477,8 +478,10 @@ def test_cegis_synthesis_loop(benchmark):
         assert outcome.status == "sat"
         assert outcome.model.evaluate(h1) & 0xFFFF == 0xBEEF
         print(f"\ncegis synthesis: {outcome.message}")
-        print(f"solver row: {outcome.stats.solver_row()}")
-        row = dict(outcome.stats.solver_row())
+        row = asdict(outcome.stats.solver)
+        print(f"solver row: {row}")
+        # `seconds` is the row's wall clock; the check time is below.
+        del row["seconds"]
         row["svm_seconds"] = outcome.stats.svm_seconds
         row["solver_seconds"] = outcome.stats.solver_seconds
         _record_row("cegis_synthesis_loop", time.perf_counter() - started,
@@ -486,5 +489,5 @@ def test_cegis_synthesis_loop(benchmark):
         return outcome.stats
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert stats.solver_checks > 2
-    assert stats.encode_cache_hits > 0
+    assert stats.solver.checks > 2
+    assert stats.solver.encode_hits > 0

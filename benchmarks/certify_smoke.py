@@ -3,7 +3,7 @@
 
 Exercises trust-but-verify mode end to end the way a user would:
 
-- a SYNTHCL CEGIS synthesis via the driver's ``certify=`` path — every
+- a SYNTHCL CEGIS synthesis via the driver's ``options=`` path — every
   guess and every counterexample check is certified;
 - an IFCL EENI check (the certified-verify row: the insecurity witness's
   model is re-evaluated at the term level);
@@ -29,48 +29,51 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.queries import SolveOptions  # noqa: E402
 from repro.sym import set_default_int_width  # noqa: E402
+
+CERTIFY = SolveOptions(certify=True)
 
 
 def _report(label, outcome, expect_status):
     stats = outcome.stats
     assert outcome.status == expect_status, \
         f"{label}: expected {expect_status}, got {outcome.status}"
-    assert stats.certified_checks >= 1, \
+    assert stats.solver.certified >= 1, \
         f"{label}: no certified checks recorded"
-    assert stats.certified_checks == stats.solver_checks, \
-        f"{label}: {stats.solver_checks} checks but only " \
-        f"{stats.certified_checks} certified"
+    assert stats.solver.certified == stats.solver.checks, \
+        f"{label}: {stats.solver.checks} checks but only " \
+        f"{stats.solver.certified} certified"
     print(f"  {label}: {outcome.status}, "
-          f"{stats.certified_checks}/{stats.solver_checks} checks certified")
+          f"{stats.solver.certified}/{stats.solver.checks} checks certified")
 
 
 def smoke_synthcl_synthesize() -> None:
     from repro.sdsl.synthcl.bench import run_benchmark
-    print("synthcl synthesis (FWT2s, certify= path):")
-    _report("FWT2s", run_benchmark("FWT2s", certify=True), "sat")
+    print("synthcl synthesis (FWT2s, options= path):")
+    _report("FWT2s", run_benchmark("FWT2s", options=CERTIFY), "sat")
 
 
 def smoke_ifcl_verify() -> None:
     from repro.sdsl.ifcl import BUGGY_MACHINES
     from repro.sdsl.ifcl.verify import eeni_check
-    print("ifcl EENI check (B2, certify= path):")
-    result = eeni_check(BUGGY_MACHINES["B2"], 3, certify=True)
+    print("ifcl EENI check (B2, options= path):")
+    result = eeni_check(BUGGY_MACHINES["B2"], 3, options=CERTIFY)
     assert result.status == "insecure", result.status
     stats = result.stats
-    assert stats.certified_checks >= 1, "ifcl: no certified checks"
+    assert stats.solver.certified >= 1, "ifcl: no certified checks"
     print(f"  B2: insecure, "
-          f"{stats.certified_checks}/{stats.solver_checks} checks certified")
+          f"{stats.solver.certified}/{stats.solver.checks} checks certified")
 
 
 def smoke_ifcl_hinted_unsat() -> None:
     from repro.sdsl.ifcl import BUGGY_MACHINES
     from repro.sdsl.ifcl.verify import eeni_check
-    print("ifcl EENI proof replay (B1@3, 5-bit, certify= path):")
+    print("ifcl EENI proof replay (B1@3, 5-bit, options= path):")
     events = []
     set_default_int_width(5)
     try:
-        result = eeni_check(BUGGY_MACHINES["B1"], 3, certify=True,
+        result = eeni_check(BUGGY_MACHINES["B1"], 3, options=CERTIFY,
                             trace=events.append)
     finally:
         set_default_int_width(32)
@@ -115,7 +118,7 @@ def smoke_debug_query() -> None:
     from repro.smt import terms as T
     from repro.sym.values import SymInt
     from repro.vm.context import assert_
-    print("debug query (certify= path):")
+    print("debug query (options= path):")
 
     def thunk():
         x = relax(SymInt(T.bv_var("smoke_dbg", 8)), "x")
@@ -123,13 +126,13 @@ def smoke_debug_query() -> None:
         assert_(y == 0)
         assert_(x == 7)
 
-    outcome = debug(thunk, certify=True)
+    outcome = debug(thunk, options=CERTIFY)
     assert outcome.status == "sat", outcome.status
     assert outcome.core, "debug: empty blame core"
-    assert outcome.stats.certified_checks >= 2, \
+    assert outcome.stats.solver.certified >= 2, \
         "debug: expected the relaxation loop to certify several checks"
     print(f"  blame core {sorted(outcome.core)}, "
-          f"{outcome.stats.certified_checks}/{outcome.stats.solver_checks} "
+          f"{outcome.stats.solver.certified}/{outcome.stats.solver.checks} "
           f"checks certified")
 
 

@@ -17,10 +17,11 @@ silently lose soundness:
   query) or provably false (the program can never pass verification).
 - **HL004** — unreachable ``cond`` clauses: after ``else``, after a
   test Layer 1 proves true, or guarded by a test Layer 1 proves false.
-- **CL001–CL003** — SYNTHCL host-program checks over the Python AST:
-  silently disabled race checking, and a kernel in which every work
-  item writes the same concrete cell (a definite race the static
-  pre-detector of :mod:`repro.analysis.races` would prove).
+- **CL002–CL003** — SYNTHCL host-program checks over the Python AST:
+  a kernel in which every work item writes the same concrete cell (a
+  definite race the static pre-detector of :mod:`repro.analysis.races`
+  would prove), and race checking turned off with ``race_mode="off"``.
+  CL001 is retired and its code is not reused.
 
 Diagnostics carry :class:`~repro.lang.reader.Span` source positions
 from the spanned reader (HL) or the ``ast`` node extents (Python). The
@@ -463,21 +464,6 @@ def _runtime_calls(tree: ast.Module) -> Iterator[ast.Call]:
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "CLRuntime"):
             yield node
-
-
-@py_rule("CL001", WARNING, "race checking silently disabled")
-def _check_races_disabled(ctx: PyContext) -> None:
-    rule = PY_RULES["CL001"][0]
-    for call in _runtime_calls(ctx.tree):
-        for keyword in call.keywords:
-            if (keyword.arg == "check_races"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is False):
-                ctx.report(rule, call,
-                           "CLRuntime(check_races=False) drops the race "
-                           "obligations silently; use race_mode=\"symbolic\" "
-                           "to model them, or race_mode=\"off\" to document "
-                           "the intent")
 
 
 @py_rule("CL002", ERROR, "every work item writes the same concrete cell")

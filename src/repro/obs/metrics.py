@@ -146,16 +146,12 @@ class BusMetrics:
         name, ph, args = event.name, event.ph, event.args or {}
         reg = self.registry
         if name == "smt.check" and ph == END:
-            reg.counter("smt.checks").inc()
+            # The end event carries one CheckStats delta: count every
+            # counter it holds, whatever the schema's current fields.
             reg.counter(f"smt.result.{args.get('result', '?')}").inc()
-            reg.counter("smt.conflicts").inc(args.get("conflicts", 0))
-            reg.counter("smt.decisions").inc(args.get("decisions", 0))
-            reg.counter("smt.propagations").inc(args.get("propagations", 0))
-            reg.counter("smt.learned").inc(args.get("learned", 0))
-            reg.counter("smt.encode_hits").inc(args.get("encode_hits", 0))
-            reg.counter("smt.encode_misses").inc(args.get("encode_misses", 0))
-            reg.counter("smt.budget_trips").inc(args.get("tripped", 0))
-            reg.counter("smt.certified").inc(args.get("certified", 0))
+            for key, value in args.items():
+                if key not in ("result", "seconds"):
+                    reg.counter(f"smt.{key}").inc(value)
             reg.histogram("smt.check_conflicts").observe(
                 args.get("conflicts", 0))
             reg.histogram("smt.check_ms").observe(

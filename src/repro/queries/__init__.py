@@ -9,11 +9,12 @@ thunk under the SVM and differ only in the formula they hand to the solver
 from repro.queries.outcome import Model, QueryOutcome
 from repro.queries.queries import solve, synthesize, verify
 from repro.queries.debug import DebugSession, debug, relax
+from repro.smt.solver import SolveOptions
 from repro.solver.budget import Budget, CancellationToken, ResourceReport
 
 __all__ = [
     "Model", "QueryOutcome",
     "solve", "synthesize", "verify",
     "DebugSession", "debug", "relax",
-    "Budget", "CancellationToken", "ResourceReport",
+    "SolveOptions", "Budget", "CancellationToken", "ResourceReport",
 ]

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from repro.obs import tracing
 from repro.obs.events import BUS
 from repro.smt import terms as T
-from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.solver import SmtResult, SmtSolver, SolveOptions
 from repro.solver.budget import Budget
 from repro.sym.values import SymBool, SymInt
 from repro.vm.context import VM
@@ -46,20 +46,15 @@ def _run(thunk: Callable[[], object], vm: VM):
 
 def _check(solver: SmtSolver, vm: VM,
            assumptions: Sequence[T.Term] = ()) -> SmtResult:
-    # The query's EvalStats listens on the event bus for the duration of
-    # the check: SmtSolver.check publishes one `smt.check` span whose end
-    # event carries the CheckStats delta, and that single emission path
-    # feeds the stats here, the profiler, and any subscribed trace sinks
-    # alike. try/finally: a check that raises mid-solve (cancellation
-    # delivered as an exception, KeyboardInterrupt, encoder errors) must
-    # still record its partial effort — SmtSolver.check emits the end
-    # event from its own finally block, so the delta is never stale.
+    # try/finally: a check that raises mid-solve (cancellation delivered
+    # as an exception, KeyboardInterrupt, encoder errors) must still record
+    # its partial effort — SmtSolver.check sets `last_check` in its own
+    # finally block, so the delta is never stale.
     started = time.perf_counter()
-    unsubscribe = BUS.subscribe(vm.stats.check_listener)
     try:
         return solver.check(assumptions)
     finally:
-        unsubscribe()
+        vm.stats.solver += solver.last_check
         vm.stats.solver_seconds += time.perf_counter() - started
 
 
@@ -97,45 +92,32 @@ def _unknown(vm: VM, solver: SmtSolver, message: str = "") -> QueryOutcome:
 
 
 def solve(thunk: Callable[[], object],
-          max_conflicts: Optional[int] = None,
-          budget: Optional[Budget] = None,
-          trace=None,
-          certify: Optional[bool] = None,
-          analyze: Optional[bool] = None) -> QueryOutcome:
+          options: Optional[SolveOptions] = None,
+          trace=None) -> QueryOutcome:
     """Find an interpretation under which the thunk's assertions all hold.
 
-    `budget` bounds the whole query (encoding and solving); on exhaustion
-    the outcome is ``unknown`` with a populated ``report``.
+    `options` configures the query's solver (:class:`SolveOptions`:
+    budget, certification, analysis); ``None`` means ``SolveOptions()``.
+    When its budget runs out (encoding or solving) the outcome is
+    ``unknown`` with a populated ``report``.
 
     `trace` attaches an observability sink for the query's duration: a
     path writes JSONL trace events there, a callable is subscribed to the
     event bus directly, and ``None`` defers to the ``REPRO_TRACE``
     environment variable (no-op when unset).
-
-    `certify` turns on trust-but-verify mode for the query's solver: a
-    DRUP proof is logged and every answer is independently re-checked
-    (see :mod:`repro.solver.certify`). ``None`` defers to the
-    ``REPRO_CERTIFY`` environment variable.
-
-    `analyze` turns on the pre-solver static-analysis sanitizer
-    (:mod:`repro.analysis`): each asserted formula is rewritten through
-    abstract interpretation before bit-blasting. ``None`` defers to the
-    ``REPRO_ANALYZE`` environment variable.
     """
     with tracing(trace), _query_span("query.solve") as span:
-        span.outcome = outcome = _solve(thunk, max_conflicts, budget,
-                                        certify, analyze)
+        span.outcome = outcome = _solve(thunk, options)
         return outcome
 
 
-def _solve(thunk, max_conflicts, budget, certify, analyze) -> QueryOutcome:
+def _solve(thunk, options) -> QueryOutcome:
     with VM() as vm:
         failed, _ = _run(thunk, vm)
         if failed:
             return QueryOutcome("unsat", stats=vm.stats,
                                 message="execution fails on every path")
-        solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                           certify=certify, analyze=analyze)
+        solver = SmtSolver(options)
         for assertion in vm.assertions:
             solver.add_assertion(assertion)
         result = _check(solver, vm)
@@ -149,11 +131,8 @@ def _solve(thunk, max_conflicts, budget, certify, analyze) -> QueryOutcome:
 
 def verify(thunk: Callable[[], object],
            setup: Optional[Callable[[], object]] = None,
-           max_conflicts: Optional[int] = None,
-           budget: Optional[Budget] = None,
-           trace=None,
-           certify: Optional[bool] = None,
-           analyze: Optional[bool] = None) -> QueryOutcome:
+           options: Optional[SolveOptions] = None,
+           trace=None) -> QueryOutcome:
     """Find a counterexample: an interpretation violating some assertion.
 
     Assertions made by `setup` (and, in Rosette, any assertions made before
@@ -161,17 +140,15 @@ def verify(thunk: Callable[[], object],
     satisfy; assertions made by `thunk` are the verification targets. A
     `sat` outcome means the property FAILS (the model is the
     counterexample); `unsat` means the assertions hold for every input —
-    the paper's "no counterexample found". `trace`, `certify`, and
-    `analyze` are as in :func:`solve`.
+    the paper's "no counterexample found". `options` and `trace` are as in
+    :func:`solve`.
     """
     with tracing(trace), _query_span("query.verify") as span:
-        span.outcome = outcome = _verify(thunk, setup, max_conflicts,
-                                         budget, certify, analyze)
+        span.outcome = outcome = _verify(thunk, setup, options)
         return outcome
 
 
-def _verify(thunk, setup, max_conflicts, budget, certify,
-            analyze) -> QueryOutcome:
+def _verify(thunk, setup, options) -> QueryOutcome:
     with VM() as vm:
         if setup is not None:
             setup_failed, _ = _run(setup, vm)
@@ -190,8 +167,7 @@ def _verify(thunk, setup, max_conflicts, budget, certify,
         if not targets:
             return QueryOutcome("unsat", stats=vm.stats,
                                 message="no assertions reachable")
-        solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                           certify=certify, analyze=analyze)
+        solver = SmtSolver(options)
         for assumption in assumptions:
             solver.add_assertion(assumption)
         solver.add_assertion(T.mk_or(*[T.mk_not(a) for a in targets]))
@@ -224,11 +200,8 @@ def _input_terms(inputs: Iterable) -> List[T.Term]:
 
 def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
           max_iterations: int = 64,
-          max_conflicts: Optional[int] = None,
-          budget: Optional[Budget] = None,
-          iteration_budget: Optional[dict] = None,
-          certify: Optional[bool] = None,
-          analyze: Optional[bool] = None) -> QueryOutcome:
+          options: Optional[SolveOptions] = None,
+          iteration_budget: Optional[dict] = None) -> QueryOutcome:
     """Counterexample-guided inductive synthesis of ∃holes ∀inputs. goal.
 
     Counterexamples are *substituted* into the goal formula — the term
@@ -248,8 +221,9 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
       guarantees structural sharing) hit the encode cache instead of
       being re-blasted.
 
-    Resource governance: `budget` caps the *whole* CEGIS run (both
-    solvers charge the same budget), while `iteration_budget` — a dict of
+    Both solvers are built from the same `options`. Resource governance:
+    ``options.budget`` caps the *whole* CEGIS run (both solvers charge the
+    same budget), while `iteration_budget` — a dict of
     :class:`Budget` keyword arguments like ``{"conflicts": 10_000}`` — is
     re-minted as a child budget each iteration, so one pathological guess
     or check cannot consume the entire allowance. CEGIS is an *anytime*
@@ -259,10 +233,9 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
     inputs = set(input_terms)
     hole_terms = [var for var in T.term_vars(goal) if var not in inputs]
     examples: List[dict] = [{var: _default_value(var) for var in inputs}]
-    guess_solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                             certify=certify, analyze=analyze)
-    check_solver = SmtSolver(max_conflicts=max_conflicts, budget=budget,
-                             certify=certify, analyze=analyze)
+    options = options or SolveOptions()
+    guess_solver = SmtSolver(options)
+    check_solver = SmtSolver(options)
 
     def _exhausted(solver: SmtSolver, phase: str) -> QueryOutcome:
         outcome = _unknown(vm, solver)
@@ -288,7 +261,7 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
         iteration_outcome = "unknown"
         try:
             if iteration_budget is not None:
-                scoped = Budget(parent=budget, **iteration_budget)
+                scoped = Budget(parent=options.budget, **iteration_budget)
                 guess_solver.set_budget(scoped)
                 check_solver.set_budget(scoped)
             # Guess: find hole values consistent with all examples so far.
@@ -349,30 +322,26 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
 def synthesize(inputs: Sequence, thunk: Callable[[], object],
                setup: Optional[Callable[[], object]] = None,
                max_iterations: int = 64,
-               max_conflicts: Optional[int] = None,
-               budget: Optional[Budget] = None,
+               options: Optional[SolveOptions] = None,
                iteration_budget: Optional[dict] = None,
-               trace=None,
-               certify: Optional[bool] = None,
-               analyze: Optional[bool] = None) -> QueryOutcome:
+               trace=None) -> QueryOutcome:
     """CEGIS synthesis: make the assertions hold for *all* `inputs`.
 
     `inputs` are the universally quantified symbolic constants (the paper's
     ``(synthesize [input] expr)`` form); every other symbolic constant in
     the assertions is an existentially quantified hole. Assertions made by
     `setup` are input preconditions: the goal is ∀inputs. pre ⇒ post.
-    See :func:`cegis` for the `budget`/`iteration_budget` semantics and
-    :func:`solve` for `trace`, `certify`, and `analyze`.
+    See :func:`cegis` for the budget/`iteration_budget` semantics and
+    :func:`solve` for `options` and `trace`.
     """
     with tracing(trace), _query_span("query.synthesize") as span:
         span.outcome = outcome = _synthesize(
-            inputs, thunk, setup, max_iterations, max_conflicts, budget,
-            iteration_budget, certify, analyze)
+            inputs, thunk, setup, max_iterations, options, iteration_budget)
         return outcome
 
 
-def _synthesize(inputs, thunk, setup, max_iterations, max_conflicts,
-                budget, iteration_budget, certify, analyze) -> QueryOutcome:
+def _synthesize(inputs, thunk, setup, max_iterations, options,
+                iteration_budget) -> QueryOutcome:
     with VM() as vm:
         if setup is not None:
             setup_failed, _ = _run(setup, vm)
@@ -390,12 +359,8 @@ def _synthesize(inputs, thunk, setup, max_iterations, max_conflicts,
         post = T.mk_and(*targets) if targets else T.TRUE
         goal = T.mk_implies(pre, post)
         return cegis(goal, _input_terms(inputs), vm,
-                     max_iterations=max_iterations,
-                     max_conflicts=max_conflicts,
-                     budget=budget,
-                     iteration_budget=iteration_budget,
-                     certify=certify,
-                     analyze=analyze)
+                     max_iterations=max_iterations, options=options,
+                     iteration_budget=iteration_budget)
 
 
 def _default_value(var: T.Term):

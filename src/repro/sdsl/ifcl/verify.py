@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.queries import Budget, ResourceReport, verify
+from repro.queries import ResourceReport, SolveOptions, verify
 from repro.sym import fresh_bool, fresh_int, ops
 from repro.sym.values import SymBool, SymInt
 from repro.vm import assert_
@@ -156,21 +156,16 @@ def eeni_thunks(semantics: Semantics, length: int):
 
 
 def eeni_check(semantics: Semantics, length: int,
-               max_conflicts: Optional[int] = None,
-               budget: Optional[Budget] = None,
-               trace=None,
-               certify: Optional[bool] = None) -> EENIResult:
+               options: Optional[SolveOptions] = None,
+               trace=None) -> EENIResult:
     """Run the bounded EENI verifier for one machine and bound.
 
-    `budget` bounds the query; a trip yields ``unknown`` (neither secure
-    nor insecure) with the :class:`~repro.queries.ResourceReport` attached.
-    `trace` (a JSONL path or a callable) attaches an observability sink
-    for the query, and `certify` enables trust-but-verify solving, both
-    as in :func:`repro.queries.queries.verify`.
+    `options` and `trace` are as in :func:`repro.queries.queries.verify`.
+    A budget trip yields ``unknown`` (neither secure nor insecure) with
+    the :class:`~repro.queries.ResourceReport` attached.
     """
     setup, check, program = eeni_thunks(semantics, length)
-    outcome = verify(check, setup=setup, max_conflicts=max_conflicts,
-                     budget=budget, trace=trace, certify=certify)
+    outcome = verify(check, setup=setup, options=options, trace=trace)
     if outcome.status == "sat":
         return EENIResult(machine=semantics.name, length=length,
                           status="insecure",

@@ -14,7 +14,7 @@ conditional writes over every cell.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.races import RaceReport, classify_launch
 from repro.vm import assert_
@@ -87,18 +87,11 @@ class WorkItemContext:
 class CLRuntime:
     """Host-side runtime: buffer management and kernel launches."""
 
-    def __init__(self, check_races: bool = True,
-                 race_mode: Optional[str] = None):
-        # `race_mode` is the explicit knob; the legacy `check_races`
-        # boolean maps onto it (True → "assert", False → "off") when no
-        # mode is given.
-        if race_mode is None:
-            race_mode = "assert" if check_races else "off"
+    def __init__(self, race_mode: str = "assert"):
         if race_mode not in RACE_MODES:
             raise ValueError(
                 f"race_mode must be one of {RACE_MODES}, got {race_mode!r}")
         self.race_mode = race_mode
-        self.check_races = race_mode != "off"
         self.buffers: Dict[str, Buffer] = {}
         #: Static race classifications, one :class:`RaceReport` per launch.
         self.race_reports: List[RaceReport] = []

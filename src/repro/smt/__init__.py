@@ -53,7 +53,7 @@ from repro.smt.terms import (
     term_size,
     to_sexpr,
 )
-from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.solver import SmtResult, SmtSolver, SolveOptions
 
 __all__ = [
     "BOOL", "BV", "FALSE", "TRUE", "Term",
@@ -64,5 +64,5 @@ __all__ = [
     "mk_slt", "mk_smod", "mk_srem", "mk_sub", "mk_udiv", "mk_ule", "mk_ult",
     "mk_urem", "mk_xor",
     "evaluate", "substitute", "term_size", "to_sexpr",
-    "SmtResult", "SmtSolver",
+    "SmtResult", "SmtSolver", "SolveOptions",
 ]

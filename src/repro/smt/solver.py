@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import time
@@ -51,14 +51,27 @@ from repro.solver.certify import (
 from repro.solver.sat import SatResult, SatSolver
 
 
-def _certify_default() -> bool:
-    """`certify=None` resolves against the REPRO_CERTIFY environment knob."""
-    return os.environ.get("REPRO_CERTIFY", "") not in ("", "0")
+def _env_flag(name: str) -> bool:
+    return os.environ.get(name, "") not in ("", "0")
 
 
-def _analyze_default() -> bool:
-    """`analyze=None` resolves against the REPRO_ANALYZE environment knob."""
-    return os.environ.get("REPRO_ANALYZE", "") not in ("", "0")
+@dataclass(frozen=True)
+class SolveOptions:
+    """How a solver runs: the one configuration object of the solver stack.
+
+    `budget` caps encoding and search; every solver built from one options
+    value charges the same budget. `certify` turns on trust-but-verify
+    mode: a DRUP proof is logged and every answer is independently
+    re-checked (:mod:`repro.solver.certify`). `analyze` runs each asserted
+    formula through the abstract-interpretation sanitizer
+    (:mod:`repro.analysis`) before bit-blasting. The two flags default to
+    the ``REPRO_CERTIFY`` / ``REPRO_ANALYZE`` environment variables, read
+    when the options object is created.
+    """
+
+    budget: Optional[Budget] = None
+    certify: bool = field(default_factory=lambda: _env_flag("REPRO_CERTIFY"))
+    analyze: bool = field(default_factory=lambda: _env_flag("REPRO_ANALYZE"))
 
 
 class SmtResult(enum.Enum):
@@ -96,38 +109,16 @@ class CheckStats:
     sanitize_rewrites: int = 0
 
     def copy(self) -> "CheckStats":
-        return CheckStats(self.checks, self.conflicts, self.decisions,
-                          self.propagations, self.learned,
-                          self.encode_hits, self.encode_misses,
-                          self.seconds, self.tripped, self.certified,
-                          self.sanitize_rewrites)
+        return CheckStats(**asdict(self))
 
     def __sub__(self, other: "CheckStats") -> "CheckStats":
-        return CheckStats(
-            self.checks - other.checks,
-            self.conflicts - other.conflicts,
-            self.decisions - other.decisions,
-            self.propagations - other.propagations,
-            self.learned - other.learned,
-            self.encode_hits - other.encode_hits,
-            self.encode_misses - other.encode_misses,
-            self.seconds - other.seconds,
-            self.tripped - other.tripped,
-            self.certified - other.certified,
-            self.sanitize_rewrites - other.sanitize_rewrites)
+        return CheckStats(**{f.name: getattr(self, f.name)
+                             - getattr(other, f.name) for f in fields(self)})
 
     def __iadd__(self, other: "CheckStats") -> "CheckStats":
-        self.checks += other.checks
-        self.conflicts += other.conflicts
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.learned += other.learned
-        self.encode_hits += other.encode_hits
-        self.encode_misses += other.encode_misses
-        self.seconds += other.seconds
-        self.tripped += other.tripped
-        self.certified += other.certified
-        self.sanitize_rewrites += other.sanitize_rewrites
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name)
+                    + getattr(other, f.name))
         return self
 
 
@@ -180,30 +171,26 @@ class _Scope:
 class SmtSolver:
     """Incremental satisfiability checks for boolean/bitvector formulas."""
 
-    def __init__(self, max_conflicts: Optional[int] = None,
-                 budget: Optional[Budget] = None,
-                 certify: Optional[bool] = None,
-                 analyze: Optional[bool] = None):
+    def __init__(self, options: Optional[SolveOptions] = None):
+        options = options or SolveOptions()
         self.sat = SatSolver()
-        self.sat.max_conflicts = max_conflicts
-        # Trust-but-verify mode: with `certify` (or REPRO_CERTIFY=1), the
-        # SAT layer logs a DRUP proof and every answer is independently
-        # re-checked — SAT models clause-by-clause and term-by-term, UNSAT
-        # answers by reverse unit propagation over the proof. The proof
-        # must be enabled *before* the bit-blaster exists: its constructor
-        # already emits the constant-true unit clause, which the checker
-        # needs among the inputs.
-        self.certify = _certify_default() if certify is None else bool(certify)
+        # Trust-but-verify mode: the SAT layer logs a DRUP proof and every
+        # answer is independently re-checked — SAT models clause-by-clause
+        # and term-by-term, UNSAT answers by reverse unit propagation over
+        # the proof. The proof must be enabled *before* the bit-blaster
+        # exists: its constructor already emits the constant-true unit
+        # clause, which the checker needs among the inputs.
+        self.certify = options.certify
         self.proof: Optional[ProofLog] = (
             self.sat.enable_proof() if self.certify else None)
         self.last_cert: Optional[str] = None
-        # Pre-solver static analysis: with `analyze` (or REPRO_ANALYZE=1),
-        # every asserted formula runs through the abstract-interpretation
-        # sanitizer and the *rewritten* term is what gets bit-blasted. The
-        # original terms stay in `assertions()`, so SAT-answer
-        # certification re-evaluates the pre-rewrite formulas — an unsound
-        # rewrite surfaces as a CertificationError, not a wrong answer.
-        self.analyze = _analyze_default() if analyze is None else bool(analyze)
+        # Pre-solver static analysis: every asserted formula runs through
+        # the abstract-interpretation sanitizer and the *rewritten* term is
+        # what gets bit-blasted. The original terms stay in `assertions()`,
+        # so SAT-answer certification re-evaluates the pre-rewrite
+        # formulas — an unsound rewrite surfaces as a CertificationError,
+        # not a wrong answer.
+        self.analyze = options.analyze
         self.sanitize_stats = SanitizeStats()
         self.blaster = BitBlaster(self.sat)
         self._assertions: List[T.Term] = []   # base (unscoped) assertions
@@ -228,7 +215,7 @@ class SmtSolver:
         self.budget: Optional[Budget] = None
         self.last_report: Optional[ResourceReport] = None
         self._encode_report: Optional[ResourceReport] = None
-        self.set_budget(budget)
+        self.set_budget(options.budget)
 
     def set_budget(self, budget: Optional[Budget]) -> None:
         """Install (or clear) the budget charged by encoding and search.
@@ -378,10 +365,9 @@ class SmtSolver:
         in particular, when the assertions alone are unsatisfiable the core
         is empty — no subset of the assumptions is to blame.
 
-        On UNKNOWN — a tripped :class:`~repro.solver.budget.Budget`, a
-        cancelled token, or the legacy ``max_conflicts`` cap —
-        :attr:`last_report` carries the :class:`ResourceReport` naming the
-        limit and the spend. The :class:`CheckStats` delta is recorded in
+        On UNKNOWN — a tripped :class:`~repro.solver.budget.Budget` or a
+        cancelled token — :attr:`last_report` carries the
+        :class:`ResourceReport` naming the limit and the spend. The :class:`CheckStats` delta is recorded in
         a ``finally`` block, so accounting survives a check that raises
         mid-solve (cancellation via exception, interrupts, encoder bugs).
         """
@@ -442,7 +428,8 @@ class SmtSolver:
                 return self._finish(SmtResult.SAT)
             if result is SatResult.UNKNOWN:
                 tripped = True
-                self.last_report = self._search_report(started)
+                self.last_report = self.budget.report(
+                    self.sat.interrupt_reason, phase="search")
                 return self._finish(SmtResult.UNKNOWN)
             core_lits = self.sat.unsat_core()
             if self.certify:
@@ -459,32 +446,7 @@ class SmtSolver:
                 result = self._last_result
                 BUS.end("smt.check", "smt",
                         result=result.value if result is not None else "error",
-                        checks=delta.checks,
-                        conflicts=delta.conflicts,
-                        decisions=delta.decisions,
-                        propagations=delta.propagations,
-                        learned=delta.learned,
-                        encode_hits=delta.encode_hits,
-                        encode_misses=delta.encode_misses,
-                        seconds=delta.seconds,
-                        tripped=delta.tripped,
-                        certified=delta.certified,
-                        sanitize_rewrites=delta.sanitize_rewrites)
-
-    def _search_report(self, started: float) -> ResourceReport:
-        """Describe a search-phase UNKNOWN (budget trip or conflict cap)."""
-        reason = self.sat.interrupt_reason
-        if self.budget is not None and reason is not None:
-            return self.budget.report(reason, phase="search")
-        # Legacy max_conflicts cap: report this check's own spend.
-        delta = self._stats_mark() - self._mark
-        return ResourceReport(
-            reason=reason or "conflicts", phase="search",
-            elapsed_seconds=time.perf_counter() - started,
-            conflicts=delta.conflicts,
-            propagations=delta.propagations,
-            learned=delta.learned,
-            limits={"max_conflicts": self.sat.max_conflicts})
+                        **asdict(delta))
 
     # ------------------------------------------------------------------
     # Certification (trust-but-verify)

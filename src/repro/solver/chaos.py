@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.smt import terms as T
 from repro.smt.bitblast import BitBlaster
-from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.solver import SmtResult, SmtSolver, SolveOptions
 from repro.solver.certify import (
     STEP_LEARN,
     CertificationError,
@@ -136,7 +136,7 @@ def _forced_chain() -> Tuple[SatSolver, ProofLog, int]:
 
 def _minimal_core() -> Tuple[SmtSolver, List[T.Term]]:
     """An SMT instance whose minimized core is exactly two assumptions."""
-    solver = SmtSolver(certify=True)
+    solver = SmtSolver(SolveOptions(certify=True))
     a = T.bool_var("chaos_a")
     b = T.bool_var("chaos_b")
     pad = [T.bool_var(f"chaos_pad{i}") for i in range(3)]
@@ -288,7 +288,7 @@ def _fault_truncate_core(rng: random.Random) -> FaultOutcome:
 
 
 def _fault_corrupt_term_model(rng: random.Random) -> FaultOutcome:
-    solver = SmtSolver(certify=True)
+    solver = SmtSolver(SolveOptions(certify=True))
     x = T.bv_var("chaos_x", 8)
     solver.add_assertion(T.mk_eq(x, T.bv_const(0x5A, 8)))
     result = solver.check()
@@ -337,7 +337,7 @@ def _fault_sabotage_encoder(rng: random.Random) -> FaultOutcome:
     targets = list(range(1, 9))
     rng.shuffle(targets)
     for target in targets:
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         solver.blaster = _SabotagedBitBlaster(solver.sat, target)
         x = T.bv_var("chaos_sab_x", 4)
         solver.add_assertion(

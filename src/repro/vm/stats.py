@@ -7,12 +7,13 @@ module holds those counters; union counts are sourced from the counter
 embedded in :mod:`repro.sym.values` so that unions created outside an active
 VM are also visible.
 
-Queries additionally thread per-check *solver* statistics through here (see
-:meth:`EvalStats.record_check`): SAT conflicts/decisions/propagations,
-clauses learned, and bit-blasting encode-cache hits/misses. These are the
-measurements that make incremental-solving wins visible — an iterative
-query that reuses its solver shows encode-cache hits instead of repeated
-misses, and falling per-check conflict counts as learned clauses accumulate.
+Queries additionally accumulate every solver check's
+:class:`~repro.smt.solver.CheckStats` delta into :attr:`EvalStats.solver`:
+SAT conflicts/decisions/propagations, clauses learned, and bit-blasting
+encode-cache hits/misses. These are the measurements that make
+incremental-solving wins visible — an iterative query that reuses its
+solver shows encode-cache hits instead of repeated misses, and falling
+per-check conflict counts as learned clauses accumulate.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.smt.solver import CheckStats
 from repro.sym.values import UNION_COUNTERS
 
 
@@ -33,18 +35,8 @@ class EvalStats:
     max_union_cardinality: int = 0
     svm_seconds: float = 0.0
     solver_seconds: float = 0.0
-    # Solver-effort counters, accumulated from CheckStats deltas
-    # (repro.smt.solver) by record_check.
-    solver_checks: int = 0
-    solver_conflicts: int = 0
-    solver_decisions: int = 0
-    solver_propagations: int = 0
-    solver_learned: int = 0
-    encode_cache_hits: int = 0
-    encode_cache_misses: int = 0
-    budget_trips: int = 0
-    certified_checks: int = 0
-    sanitize_rewrites: int = 0
+    # The sum of the CheckStats deltas of every check the queries issued.
+    solver: CheckStats = field(default_factory=CheckStats)
     _union_base: tuple = field(default=(0, 0), repr=False)
     _max_base: int = field(default=0, repr=False)
     _start: float = field(default=0.0, repr=False)
@@ -71,49 +63,6 @@ class EvalStats:
         self.max_union_cardinality = max(self.max_union_cardinality, observed)
         UNION_COUNTERS.max_cardinality = max(self._max_base, observed)
 
-    def record_check(self, check) -> None:
-        """Accumulate a CheckStats-shaped delta from a solver check.
-
-        `check` is any object with the counter attributes of
-        :class:`repro.smt.solver.CheckStats` (duck-typed to keep this
-        module below the SMT layer in the import graph).
-        """
-        self.solver_checks += check.checks
-        self.solver_conflicts += check.conflicts
-        self.solver_decisions += check.decisions
-        self.solver_propagations += check.propagations
-        self.solver_learned += check.learned
-        self.encode_cache_hits += check.encode_hits
-        self.encode_cache_misses += check.encode_misses
-        # `tripped` arrived with resource budgets and `certified` with the
-        # certification layer; older CheckStats-shaped objects may carry
-        # neither.
-        self.budget_trips += getattr(check, "tripped", 0)
-        self.certified_checks += getattr(check, "certified", 0)
-        self.sanitize_rewrites += getattr(check, "sanitize_rewrites", 0)
-
-    def check_listener(self, event) -> None:
-        """An event-bus sink accumulating ``smt.check`` span deltas.
-
-        Queries subscribe this bound method around each solver check, so
-        the counters flow through the same emission path as every other
-        consumer (tracers, the profiler, metrics) instead of a private
-        side channel. Other events are ignored.
-        """
-        if event.name != "smt.check" or event.ph != "E":
-            return
-        args = event.args or {}
-        self.solver_checks += args.get("checks", 0)
-        self.solver_conflicts += args.get("conflicts", 0)
-        self.solver_decisions += args.get("decisions", 0)
-        self.solver_propagations += args.get("propagations", 0)
-        self.solver_learned += args.get("learned", 0)
-        self.encode_cache_hits += args.get("encode_hits", 0)
-        self.encode_cache_misses += args.get("encode_misses", 0)
-        self.budget_trips += args.get("tripped", 0)
-        self.certified_checks += args.get("certified", 0)
-        self.sanitize_rewrites += args.get("sanitize_rewrites", 0)
-
     def row(self) -> dict:
         """A Table 4-shaped row."""
         return {
@@ -123,19 +72,4 @@ class EvalStats:
             "max": self.max_union_cardinality,
             "svm_sec": self.svm_seconds,
             "solver_sec": self.solver_seconds,
-        }
-
-    def solver_row(self) -> dict:
-        """Per-query solver-effort summary (incremental-solving telemetry)."""
-        return {
-            "checks": self.solver_checks,
-            "conflicts": self.solver_conflicts,
-            "decisions": self.solver_decisions,
-            "propagations": self.solver_propagations,
-            "learned": self.solver_learned,
-            "encode_hits": self.encode_cache_hits,
-            "encode_misses": self.encode_cache_misses,
-            "budget_trips": self.budget_trips,
-            "certified_checks": self.certified_checks,
-            "sanitize_rewrites": self.sanitize_rewrites,
         }

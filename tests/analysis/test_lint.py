@@ -39,7 +39,7 @@ from repro.sdsl.synthcl.runtime import CLRuntime, WorkItemContext
 
 
 def broken(values):
-    runtime = CLRuntime(check_races=False)
+    runtime = CLRuntime(race_mode="off")
     out = runtime.buffer("out", [0] * len(values))
 
     def kernel(item: WorkItemContext):
@@ -124,8 +124,8 @@ class TestHLRules:
 class TestPythonRules:
     def test_seeded_racy_kernel(self):
         found = _by_rule(lint_python_source(RACY_PY, "racy.py"))
-        assert set(found) == {"CL001", "CL002"}
-        (disabled,) = found["CL001"]
+        assert set(found) == {"CL002", "CL003"}
+        (disabled,) = found["CL003"]
         assert disabled.span.line == 5
         (race,) = found["CL002"]
         assert race.span.line == 10
@@ -161,7 +161,7 @@ def helper(buffer, item):
 class TestDriver:
     def test_registry_is_complete(self):
         codes = [rule.code for rule in all_rules()]
-        assert codes == ["CL001", "CL002", "CL003",
+        assert codes == ["CL002", "CL003",
                          "HL001", "HL002", "HL003", "HL004"]
 
     def test_lint_paths_walks_directories_and_emits_bus_span(self, tmp_path):

@@ -151,12 +151,12 @@ class TestRuntimeModes:
             assert vm.assertions == []
             assert runtime.race_reports == []
 
-    def test_legacy_check_races_flag_maps_to_modes(self):
+    def test_race_mode_is_the_only_knob(self):
         assert CLRuntime().race_mode == "assert"
-        assert CLRuntime(check_races=False).race_mode == "off"
-        assert CLRuntime(check_races=True).race_mode == "assert"
         with pytest.raises(ValueError):
             CLRuntime(race_mode="sometimes")
+        with pytest.raises(TypeError):
+            CLRuntime(check_races=False)
 
     def test_residual_pairs_still_reach_the_dynamic_machinery(self):
         with VM() as vm:

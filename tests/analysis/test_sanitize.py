@@ -34,7 +34,7 @@ from repro.analysis.sanitize import (
     sanitize_assertion,
 )
 from repro.smt import terms as T
-from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.solver import SmtResult, SmtSolver, SolveOptions
 from repro.solver.certify import CertificationError
 
 WIDTH = 4
@@ -118,8 +118,8 @@ def test_sanitizing_solver_matches_plain_solver(seed):
     y = T.bv_var(f"pair_y{seed}", WIDTH)
     formulas = [_random_formula(rng, x, y) for _ in range(2)]
 
-    plain = SmtSolver(analyze=False)
-    analyzed = SmtSolver(analyze=True, certify=True)
+    plain = SmtSolver(SolveOptions(analyze=False))
+    analyzed = SmtSolver(SolveOptions(analyze=True, certify=True))
     for formula in formulas:
         plain.add_assertion(formula)
         analyzed.add_assertion(formula)
@@ -145,7 +145,7 @@ def test_statically_decided_ite_collapses():
 
 def test_provably_false_assertion_short_circuits_solver():
     x = T.bv_var("false_x", 8)
-    solver = SmtSolver(analyze=True)
+    solver = SmtSolver(SolveOptions(analyze=True))
     # x+2 == x+5 normalizes to 3 == 0 in the linear view; the sanitizer
     # proves it false so the solver answers UNSAT with zero search.
     solver.add_assertion(T.mk_eq(T.mk_add(x, T.bv_const(2, 8)),
@@ -157,7 +157,7 @@ def test_provably_false_assertion_short_circuits_solver():
 
 def test_certified_proved_false_still_proof_backed():
     x = T.bv_var("cfalse_x", 8)
-    solver = SmtSolver(analyze=True, certify=True)
+    solver = SmtSolver(SolveOptions(analyze=True, certify=True))
     solver.add_assertion(T.mk_eq(T.mk_add(x, T.bv_const(2, 8)),
                                  T.mk_add(x, T.bv_const(5, 8))))
     assert solver.check() is SmtResult.UNSAT
@@ -166,7 +166,7 @@ def test_certified_proved_false_still_proof_backed():
 
 def test_proved_true_assertion_drops_to_nothing():
     x = T.bv_var("true_x", 8)
-    solver = SmtSolver(analyze=True)
+    solver = SmtSolver(SolveOptions(analyze=True))
     tautology = T.mk_ule(T.mk_bvand(x, T.bv_const(0x3F, 8)),
                          T.bv_const(0x3F, 8))
     solver.add_assertion(tautology)
@@ -178,7 +178,7 @@ def test_proved_true_assertion_drops_to_nothing():
 
 def test_sanitize_stats_flow_into_check_stats():
     x = T.bv_var("stats_x", 8)
-    solver = SmtSolver(analyze=True)
+    solver = SmtSolver(SolveOptions(analyze=True))
     solver.add_assertion(T.mk_ule(T.mk_bvand(x, T.bv_const(0x3F, 8)),
                                   T.bv_const(0x3F, 8)))
     solver.add_assertion(T.mk_eq(x, T.bv_const(9, 8)))
@@ -195,7 +195,7 @@ def test_analyze_knob_defaults_off_and_env_overrides(monkeypatch):
     assert SmtSolver().analyze is True
     monkeypatch.setenv("REPRO_ANALYZE", "0")
     assert SmtSolver().analyze is False
-    assert SmtSolver(analyze=True).analyze is True
+    assert SmtSolver(SolveOptions(analyze=True)).analyze is True
 
 
 def test_corrupted_transfer_is_caught_by_certify():

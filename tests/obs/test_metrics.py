@@ -1,6 +1,7 @@
 """Tests for the metrics registry and the standard bus aggregation."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.smt.solver import CheckStats
 
 
 class TestInstruments:
@@ -132,7 +134,9 @@ class TestBusMetrics:
         assert snap["vm.joins"] >= 1
         assert snap["encode.spans"] >= 1
         assert 0.0 <= snap["derived.encode_cache_hit_rate"] <= 1.0
-        # The snapshot agrees with the query's own stats (one emission
-        # path: both consumed the same smt.check events).
-        assert snap["smt.conflicts"] == outcome.stats.solver_conflicts
-        assert snap["smt.encode_misses"] == outcome.stats.encode_cache_misses
+        # The snapshot agrees with the query's own stats: both sum the
+        # same CheckStats deltas, one counter per field.
+        for field in fields(CheckStats):
+            if field.name != "seconds":
+                assert snap[f"smt.{field.name}"] == \
+                    getattr(outcome.stats.solver, field.name), field.name

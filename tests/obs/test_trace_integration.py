@@ -192,13 +192,13 @@ class TestStatsEquivalence:
         sink = MemorySink()
         traced = solve(_factor_program, trace=sink)
         assert baseline.status == traced.status == "sat"
-        assert baseline.stats.solver_checks == traced.stats.solver_checks
-        assert baseline.stats.solver_conflicts == \
-            traced.stats.solver_conflicts
+        assert baseline.stats.solver.checks == traced.stats.solver.checks
+        assert baseline.stats.solver.conflicts == \
+            traced.stats.solver.conflicts
         assert baseline.stats.joins == traced.stats.joins
         assert baseline.stats.unions_created == traced.stats.unions_created
-        assert baseline.stats.encode_cache_misses == \
-            traced.stats.encode_cache_misses
+        assert baseline.stats.solver.encode_misses == \
+            traced.stats.solver.encode_misses
 
     def test_check_events_match_query_stats(self):
         """The smt.check end events sum to exactly the query's stats."""
@@ -207,8 +207,8 @@ class TestStatsEquivalence:
         ends = [e for e in sink.events
                 if e.name == "smt.check" and e.ph == "E"]
         assert sum(e.args["checks"] for e in ends) == \
-            outcome.stats.solver_checks
+            outcome.stats.solver.checks
         assert sum(e.args["conflicts"] for e in ends) == \
-            outcome.stats.solver_conflicts
+            outcome.stats.solver.conflicts
         assert sum(e.args["encode_misses"] for e in ends) == \
-            outcome.stats.encode_cache_misses
+            outcome.stats.solver.encode_misses

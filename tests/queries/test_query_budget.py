@@ -14,6 +14,7 @@ from repro.vm import assert_, builtins as B
 from repro.queries import (
     Budget,
     CancellationToken,
+    SolveOptions,
     debug,
     solve,
     synthesize,
@@ -46,14 +47,15 @@ def impossible_factoring():
 
 class TestSolveUnknown:
     def test_conflict_budget_trips(self):
-        outcome = solve(feasible_factoring, budget=Budget(conflicts=0))
+        outcome = solve(feasible_factoring,
+                        options=SolveOptions(budget=Budget(conflicts=0)))
         assert outcome.status == "unknown"
         assert outcome.report is not None
         assert outcome.report.reason == "conflicts"
         assert outcome.report.phase == "search"
         assert outcome.report.conflicts >= 1
         assert "budget exhausted" in outcome.message
-        assert outcome.stats.budget_trips == 1
+        assert outcome.stats.solver.tripped == 1
 
     def test_unbudgeted_answer_unchanged(self):
         holder = {}
@@ -63,12 +65,13 @@ class TestSolveUnknown:
         assert outcome.model.evaluate(x) * outcome.model.evaluate(y) \
             == TARGET
         assert outcome.report is None
-        assert outcome.stats.budget_trips == 0
+        assert outcome.stats.solver.tripped == 0
 
     def test_cancellation_token(self):
         token = CancellationToken()
         token.cancel()
-        outcome = solve(feasible_factoring, budget=Budget(token=token))
+        outcome = solve(feasible_factoring,
+                        options=SolveOptions(budget=Budget(token=token)))
         assert outcome.status == "unknown"
         assert outcome.report.reason == "cancelled"
 
@@ -93,11 +96,12 @@ class TestVerifyUnknown:
 
     def test_conflict_budget_trips(self):
         setup, thunk = self._setup_and_thunk()
-        outcome = verify(thunk, setup=setup, budget=Budget(conflicts=0))
+        outcome = verify(thunk, setup=setup,
+                         options=SolveOptions(budget=Budget(conflicts=0)))
         assert outcome.status == "unknown"
         assert outcome.report is not None
         assert outcome.report.reason == "conflicts"
-        assert outcome.stats.budget_trips == 1
+        assert outcome.stats.solver.tripped == 1
 
     def test_unbudgeted_finds_counterexample(self):
         setup, thunk = self._setup_and_thunk()
@@ -107,7 +111,8 @@ class TestVerifyUnknown:
 
 class TestDebugUnknown:
     def test_conflict_budget_trips_initial_check(self):
-        outcome = debug(impossible_factoring, budget=Budget(conflicts=0))
+        outcome = debug(impossible_factoring,
+                        options=SolveOptions(budget=Budget(conflicts=0)))
         assert outcome.status == "unknown"
         assert outcome.report is not None
         assert outcome.report.reason == "conflicts"
@@ -131,7 +136,7 @@ class TestSynthesizeUnknown:
         h1, h2 = fresh_int("gh1"), fresh_int("gh2")
         outcome = synthesize(
             [], lambda: assert_factoring(h1, h2),
-            budget=Budget(conflicts=0))
+            options=SolveOptions(budget=Budget(conflicts=0)))
         assert outcome.status == "unknown"
         assert outcome.report is not None
         assert "guess phase" in outcome.message
@@ -160,7 +165,8 @@ class TestSynthesizeUnknown:
 
     def test_check_phase_trips_with_best_candidate(self):
         inputs, h, thunk = self._check_hard_thunk()
-        outcome = synthesize(list(inputs), thunk, budget=Budget(conflicts=0))
+        outcome = synthesize(list(inputs), thunk,
+                             options=SolveOptions(budget=Budget(conflicts=0)))
         assert outcome.status == "unknown"
         assert outcome.report is not None
         assert "check phase" in outcome.message
@@ -186,7 +192,7 @@ class TestSynthesizeUnknown:
         x, c = fresh_int("lx"), fresh_int("lc")
         outcome = synthesize(
             [x], lambda: assert_(B.equal(x * c, x + x)),
-            budget=Budget(conflicts=1_000_000),
+            options=SolveOptions(budget=Budget(conflicts=1_000_000)),
             iteration_budget={"conflicts": 100_000})
         assert outcome.status == "sat"
         assert outcome.model.evaluate(c) == 2
@@ -196,7 +202,7 @@ class TestSynthesizeUnknown:
         h1, h2 = fresh_int("th1"), fresh_int("th2")
         outcome = synthesize(
             [], lambda: assert_factoring(h1, h2),
-            budget=Budget(conflicts=0),
+            options=SolveOptions(budget=Budget(conflicts=0)),
             iteration_budget={"conflicts": 1_000_000})
         assert outcome.status == "unknown"
         assert outcome.report.limits.get("parent") == {"conflicts": 0}

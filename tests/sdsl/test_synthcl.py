@@ -88,7 +88,7 @@ class TestRuntime:
 
     def test_races_can_be_disabled(self):
         with VM():
-            runtime = CLRuntime(check_races=False)
+            runtime = CLRuntime(race_mode="off")
             dst = runtime.buffer("dst", [0])
             runtime.launch(lambda item: item.write(dst, 0, 1), 2)
 

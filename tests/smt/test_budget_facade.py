@@ -4,7 +4,7 @@ import pytest
 
 from repro.smt import bitblast
 from repro.smt import terms as T
-from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.solver import SmtResult, SmtSolver, SolveOptions
 from repro.solver.budget import (
     Budget,
     CancellationToken,
@@ -34,7 +34,7 @@ def factoring(feasible: bool = False):
 
 class TestSearchTrips:
     def test_conflict_budget_yields_unknown_with_report(self):
-        solver = SmtSolver(budget=Budget(conflicts=0))
+        solver = SmtSolver(SolveOptions(budget=Budget(conflicts=0)))
         solver.add_assertions(factoring())
         assert solver.check() is SmtResult.UNKNOWN
         report = solver.last_report
@@ -53,7 +53,7 @@ class TestSearchTrips:
         assert feasible.check() is SmtResult.SAT
 
     def test_check_stats_record_trip_and_time(self):
-        solver = SmtSolver(budget=Budget(conflicts=0))
+        solver = SmtSolver(SolveOptions(budget=Budget(conflicts=0)))
         solver.add_assertions(factoring())
         solver.check()
         assert solver.last_check.tripped == 1
@@ -68,21 +68,22 @@ class TestSearchTrips:
         assert solver.last_report is None
 
     def test_budget_swappable_between_checks(self):
-        solver = SmtSolver(budget=Budget(conflicts=0))
+        solver = SmtSolver(SolveOptions(budget=Budget(conflicts=0)))
         solver.add_assertions(factoring())
         assert solver.check() is SmtResult.UNKNOWN
         solver.set_budget(None)
         assert solver.check() is SmtResult.UNSAT
         assert solver.last_report is None
 
-    def test_legacy_max_conflicts_reports_too(self):
-        solver = SmtSolver(max_conflicts=1)
+    def test_conflict_cap_trips_on_satisfiable_formula(self):
+        solver = SmtSolver(SolveOptions(budget=Budget(conflicts=0)))
         solver.add_assertions(factoring(feasible=True))
         assert solver.check() is SmtResult.UNKNOWN
         report = solver.last_report
         assert report is not None
+        assert report.reason == REASON_CONFLICTS
         assert report.phase == "search"
-        assert report.limits == {"max_conflicts": 1}
+        assert report.limits == {"conflicts": 0}
 
 
 class TestEncodeTrips:
@@ -90,7 +91,7 @@ class TestEncodeTrips:
         monkeypatch.setattr(bitblast, "_ENCODE_CHECK_INTERVAL", 1)
         token = CancellationToken()
         token.cancel()
-        solver = SmtSolver(budget=Budget(token=token))
+        solver = SmtSolver(SolveOptions(budget=Budget(token=token)))
         for term in factoring():
             solver.add_assertion(term)  # must not raise
         assert solver.check() is SmtResult.UNKNOWN
@@ -108,7 +109,7 @@ class TestEncodeTrips:
         monkeypatch.setattr(bitblast, "_ENCODE_CHECK_INTERVAL", 10_000)
         token = CancellationToken()
         token.cancel()
-        solver = SmtSolver(budget=Budget(token=token))
+        solver = SmtSolver(SolveOptions(budget=Budget(token=token)))
         # Far fewer cache misses than the interval: no checkpoint fires
         # during encoding, so the trip surfaces in the search phase.
         solver.add_assertion(T.bool_var("tiny"))

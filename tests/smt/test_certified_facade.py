@@ -5,7 +5,8 @@ import pytest
 
 from repro.obs.events import BUS
 from repro.smt import terms as T
-from repro.smt.solver import CheckStats, SmtResult, SmtSolver
+from repro.smt.solver import CheckStats, SmtResult, SmtSolver, SolveOptions
+from repro.solver.budget import Budget
 from repro.solver.certify import CertificationError
 
 
@@ -26,9 +27,27 @@ class TestCertifyFlag:
 
     def test_explicit_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CERTIFY", "1")
-        assert SmtSolver(certify=False).certify is False
+        monkeypatch.setenv("REPRO_ANALYZE", "1")
+        explicit = SolveOptions(certify=False, analyze=False)
+        assert (explicit.certify, explicit.analyze) == (False, False)
+        assert SmtSolver(explicit).certify is False
         monkeypatch.delenv("REPRO_CERTIFY", raising=False)
-        assert SmtSolver(certify=True).certify is True
+        monkeypatch.delenv("REPRO_ANALYZE", raising=False)
+        assert SmtSolver(SolveOptions(certify=True)).certify is True
+
+    def test_options_read_env_at_construction(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CERTIFY", "1")
+        monkeypatch.setenv("REPRO_ANALYZE", "1")
+        options = SolveOptions()
+        assert (options.certify, options.analyze) == (True, True)
+        # Resolved once: later environment changes do not reach it.
+        monkeypatch.setenv("REPRO_CERTIFY", "0")
+        monkeypatch.delenv("REPRO_ANALYZE")
+        assert (options.certify, options.analyze) == (True, True)
+        solver = SmtSolver(options)
+        assert (solver.certify, solver.analyze) == (True, True)
+        assert (SolveOptions().certify, SolveOptions().analyze) == \
+            (False, False)
 
     def test_uncertified_check_records_zero(self):
         solver = SmtSolver()
@@ -40,7 +59,7 @@ class TestCertifyFlag:
 
 class TestCertifiedAnswers:
     def test_sat_answer_is_certified(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         x = T.bv_var("cx", 8)
         solver.add_assertion(T.mk_eq(T.mk_mul(x, T.bv_const(3, 8)),
                                      T.bv_const(21, 8)))
@@ -50,7 +69,7 @@ class TestCertifiedAnswers:
         assert solver.cumulative.certified == 1
 
     def test_unsat_answer_is_certified(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         x = T.bv_var("cy", 8)
         solver.add_assertion(T.mk_eq(x, T.bv_const(1, 8)))
         solver.add_assertion(T.mk_eq(x, T.bv_const(2, 8)))
@@ -59,14 +78,14 @@ class TestCertifiedAnswers:
         assert solver.last_check.certified == 1
 
     def test_trivially_false_fast_path(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         solver.add_assertion(T.FALSE)
         assert solver.check() is SmtResult.UNSAT
         assert solver.last_cert == "trivial"
         assert solver.last_check.certified == 1
 
     def test_certified_across_push_pop(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         x = T.bv_var("cz", 8)
         solver.add_assertion(T.mk_ult(x, T.bv_const(10, 8)))
         solver.push()
@@ -79,7 +98,7 @@ class TestCertifiedAnswers:
         assert solver.model()[x] < 10
 
     def test_certified_assumption_core(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         a, b = T.bool_var("cc_a"), T.bool_var("cc_b")
         solver.add_assertion(T.mk_or(T.mk_not(a), T.mk_not(b)))
         assert solver.check([a, b]) is SmtResult.UNSAT
@@ -87,17 +106,17 @@ class TestCertifiedAnswers:
         assert set(solver.unsat_core()) == {a, b}
 
     def test_unknown_is_not_certified(self):
-        solver = SmtSolver(max_conflicts=1, certify=True)
+        solver = SmtSolver(SolveOptions(budget=Budget(conflicts=0),
+                                        certify=True))
         x = T.bv_var("cu", 12)
         y = T.bv_var("cv", 12)
         solver.add_assertion(T.mk_eq(T.mk_mul(x, y), T.bv_const(3131, 12)))
-        result = solver.check()
-        if result is SmtResult.UNKNOWN:
-            assert solver.last_cert is None
-            assert solver.last_check.certified == 0
+        assert solver.check() is SmtResult.UNKNOWN
+        assert solver.last_cert is None
+        assert solver.last_check.certified == 0
 
     def test_certify_model_rejects_corrupted_bindings(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         x = T.bv_var("cw", 8)
         solver.add_assertion(T.mk_eq(x, T.bv_const(90, 8)))
         assert solver.check() is SmtResult.SAT
@@ -108,7 +127,7 @@ class TestCertifiedAnswers:
             solver.certify_model(bad)
 
     def test_certify_model_names_the_first_false_assertion(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         x = T.bv_var("cf_x", 8)
         y = T.bv_var("cf_y", 8)
         solver.add_assertion(T.mk_ult(x, T.bv_const(9, 8)))
@@ -127,7 +146,7 @@ class TestCertifiedAnswers:
         events = []
         unsubscribe = BUS.subscribe(events.append)
         try:
-            solver = SmtSolver(certify=True)
+            solver = SmtSolver(SolveOptions(certify=True))
             x = T.bv_var("ch_x", 6)
             y = T.bv_var("ch_y", 6)
             solver.add_assertion(T.mk_eq(T.mk_mul(x, y), T.bv_const(35, 6)))
@@ -149,7 +168,7 @@ class TestCertifiedAnswers:
         events = []
         unsubscribe = BUS.subscribe(events.append)
         try:
-            solver = SmtSolver(certify=True)
+            solver = SmtSolver(SolveOptions(certify=True))
             solver.add_assertion(T.bool_var("ce_a"))
             solver.check()
         finally:
@@ -165,7 +184,7 @@ class TestCertifiedAnswers:
 
 class TestMinimizeCorePostcondition:
     def test_minimized_core_is_reproved(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         a, b = T.bool_var("mc_a"), T.bool_var("mc_b")
         pads = [T.bool_var(f"mc_p{i}") for i in range(4)]
         solver.add_assertion(T.mk_or(T.mk_not(a), T.mk_not(b)))
@@ -174,7 +193,7 @@ class TestMinimizeCorePostcondition:
         assert set(core) == {a, b}
 
     def test_non_core_claim_is_rejected(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         a, b = T.bool_var("nc_a"), T.bool_var("nc_b")
         solver.add_assertion(T.mk_or(T.mk_not(a), T.mk_not(b)))
         assert solver.check([a, b]) is SmtResult.UNSAT
@@ -182,7 +201,7 @@ class TestMinimizeCorePostcondition:
             solver._certify_core([a])  # a alone is satisfiable
 
     def test_postcondition_respects_open_scopes(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(SolveOptions(certify=True))
         a = T.bool_var("sc_a")
         solver.push()
         solver.add_assertion(T.mk_not(a))

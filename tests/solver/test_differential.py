@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.smt import terms as T
-from repro.smt.solver import SmtResult, SmtSolver
+from repro.smt.solver import SmtResult, SmtSolver, SolveOptions
 from repro.solver.certify import (
     STEP_LEARN,
     CertificationError,
@@ -150,7 +150,7 @@ def test_random_bitvector_terms_match_brute_force_certified(seed):
         T.evaluate(formula, {x: vx, y: vy})
         for vx in range(1 << WIDTH) for vy in range(1 << WIDTH))
 
-    solver = SmtSolver(certify=True)
+    solver = SmtSolver(SolveOptions(certify=True))
     solver.add_assertion(formula)
     result = solver.check()
     if expected_sat:

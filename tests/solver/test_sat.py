@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.solver.budget import REASON_CONFLICTS, Budget
 from repro.solver.sat import SatResult, SatSolver, _luby
 
 from golden_cnf import run_golden
@@ -92,7 +93,7 @@ class TestBasics:
 
     def test_max_conflicts_gives_unknown(self):
         solver = SatSolver()
-        # A hard-enough pigeonhole so that 1 conflict is not sufficient.
+        # A pigeonhole instance: refuting it takes at least one conflict.
         var = {(p, h): solver.new_var() for p in range(5) for h in range(4)}
         for p in range(5):
             solver.add_clause([var[(p, h)] for h in range(4)])
@@ -100,8 +101,9 @@ class TestBasics:
             for p1 in range(5):
                 for p2 in range(p1 + 1, 5):
                     solver.add_clause([-var[(p1, h)], -var[(p2, h)]])
-        solver.max_conflicts = 1
-        assert solver.solve() in (SatResult.UNKNOWN, SatResult.UNSAT)
+        solver.budget = Budget(conflicts=0)
+        assert solver.solve() is SatResult.UNKNOWN
+        assert solver.interrupt_reason == REASON_CONFLICTS
 
 
 class TestModelAccess:

@@ -90,32 +90,71 @@ class TestEvalStats:
         # The peak predates inner's window, but stop() restores it.
         assert outer.max_union_cardinality == 2
 
-    def test_check_listener_matches_record_check(self):
-        """The bus listener and the legacy record_check accumulate the
-        same totals from the same delta."""
-        from repro.obs.events import END, Event
 
-        delta = {"checks": 1, "conflicts": 7, "decisions": 20,
-                 "propagations": 150, "learned": 5, "encode_hits": 9,
-                 "encode_misses": 4, "seconds": 0.01, "tripped": 1}
-        via_listener = EvalStats()
-        via_listener.check_listener(
-            Event("smt.check", "smt", END, 1.0, dict(delta)))
-        assert via_listener.solver_checks == 1
-        assert via_listener.solver_conflicts == 7
-        assert via_listener.solver_decisions == 20
-        assert via_listener.solver_propagations == 150
-        assert via_listener.solver_learned == 5
-        assert via_listener.encode_cache_hits == 9
-        assert via_listener.encode_cache_misses == 4
-        assert via_listener.budget_trips == 1
+class TestSolverStats:
+    """EvalStats.solver is one CheckStats, fed by the queries directly."""
 
-    def test_check_listener_ignores_other_events(self):
-        from repro.obs.events import BEGIN, INSTANT, Event
+    def test_untraced_queries_keep_the_bus_off_during_search(self,
+                                                             monkeypatch):
+        from repro.obs.events import BUS
+        from repro.queries import solve, verify
+        from repro.solver.sat import SatSolver
+        from repro.vm import assert_
 
-        stats = EvalStats()
-        stats.check_listener(Event("smt.check", "smt", BEGIN, 1.0,
-                                   {"assumptions": 2}))
-        stats.check_listener(Event("vm.join", "vm", INSTANT, 2.0,
-                                   {"cardinality": 2}))
-        assert stats.solver_checks == 0
+        seen = []
+        original = SatSolver.solve
+
+        def spy(self, *args, **kwargs):
+            seen.append(BUS.enabled)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SatSolver, "solve", spy)
+        x = fresh_int("bus_off")
+        assert solve(lambda: assert_(x * 3 == 12)).status == "sat"
+        assert verify(lambda: assert_(x * 2 != 7)).status == "unsat"
+        assert seen == [False, False]
+
+    def test_query_stats_equal_the_solver_deltas(self):
+        from repro.queries import solve
+        from repro.smt.solver import CheckStats
+        from repro.vm import assert_
+
+        x = fresh_int("sum_of_deltas")
+        outcome = solve(lambda: assert_(x * x == 49))
+        assert outcome.status == "sat"
+        assert isinstance(outcome.stats.solver, CheckStats)
+        assert outcome.stats.solver.checks == 1
+        assert outcome.stats.solver.encode_misses > 0
+
+    def test_merge_outcomes_sums_every_check_stats_field(self):
+        from dataclasses import fields
+
+        from repro.queries import QueryOutcome
+        from repro.sdsl.synthcl.bench import _merge_outcomes
+        from repro.smt.solver import CheckStats
+
+        names = [f.name for f in fields(CheckStats)]
+
+        def outcome(base):
+            stats = EvalStats(solver=CheckStats(
+                **{name: base + i for i, name in enumerate(names)}))
+            return QueryOutcome("unsat", stats=stats)
+
+        merged = _merge_outcomes(outcome(1), outcome(100))
+        for i, name in enumerate(names):
+            assert getattr(merged.stats.solver, name) == 101 + 2 * i, name
+
+    def test_queries_and_drivers_take_one_options_object(self):
+        import inspect
+
+        from repro.queries import debug, solve, synthesize, verify
+        from repro.sdsl.ifcl import check_attack, eeni_check
+        from repro.sdsl.synthcl import run_benchmark
+        from repro.sdsl.websynth import synthesize_xpath
+
+        for entry in (solve, verify, debug, synthesize, eeni_check,
+                      check_attack, synthesize_xpath, run_benchmark):
+            params = inspect.signature(entry).parameters
+            assert "options" in params, entry.__name__
+            for knob in ("max_conflicts", "budget", "certify", "analyze"):
+                assert knob not in params, (entry.__name__, knob)

@@ -39,7 +39,8 @@ def _print_row(name, outcome):
           f"sum={stats.union_cardinality_sum:<7} "
           f"max={stats.max_union_cardinality:<4} "
           f"SVM={stats.svm_seconds:6.2f}s solver={stats.solver_seconds:6.2f}s "
-          f"-> {outcome.status}   "
+          f"encode={stats.solver.encode_seconds:6.2f}s "
+          f"conflicts={stats.solver.conflicts:<6} -> {outcome.status}   "
           f"(paper bounds: {bench.paper_bounds})")
 
 

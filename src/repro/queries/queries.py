@@ -292,6 +292,12 @@ def cegis(goal: T.Term, input_terms: Sequence[T.Term], vm: VM,
             check_solver.push()
             try:
                 check_solver.add_assertion(T.mk_not(checked))
+                # ¬goal[candidate] is a circuit over the inputs: once every
+                # input bit is decided, propagation evaluates it, so a
+                # wrong candidate is refuted by the first full input
+                # assignment. The list (not the set) keeps the bump order
+                # independent of the hash seed.
+                check_solver.prefer(input_terms)
                 check_result = _check(check_solver, vm)
                 if check_result is SmtResult.SAT:
                     counterexample = check_solver.model(list(inputs))

@@ -14,7 +14,7 @@ unsigned operators on magnitudes), matching the constant folders in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import BUS
 from repro.smt import terms as T
@@ -524,6 +524,21 @@ class BitBlaster:
         """All variable terms that have reached the encoder, in first-seen
         order (booleans before bitvectors)."""
         return list(self._bool_vars) + list(self._bv_vars)
+
+    def sat_vars(self, var_terms: Iterable[T.Term]) -> List[int]:
+        """The SAT variables of the given variable terms, in order (a
+        bitvector's LSB first); terms not yet encoded are skipped."""
+        out: List[int] = []
+        for var_term in var_terms:
+            if var_term.op == T.OP_BOOL_VAR:
+                sat_var = self._bool_vars.get(var_term)
+                if sat_var is not None:
+                    out.append(sat_var)
+            elif var_term.op == T.OP_BV_VAR:
+                out.extend(self._bv_vars.get(var_term, ()))
+            else:
+                raise TypeError(f"not a variable term: {var_term!r}")
+        return out
 
     def model_value(self, var_term: T.Term):
         """Value of a variable term in the last satisfying assignment."""

@@ -14,7 +14,8 @@ solver is **incremental**:
   terms are interned (:mod:`repro.smt.terms`), a term encoded by one check
   is a dictionary hit for every later check, even across popped scopes.
 - Every `check` records a :class:`CheckStats` delta (conflicts, decisions,
-  propagations, learned clauses, encode-cache hits/misses) in
+  propagations, learned clauses, encode-cache hits/misses, encode and
+  sanitize seconds) in
   :attr:`SmtSolver.last_check` and accumulates it in
   :attr:`SmtSolver.cumulative`.
 
@@ -107,6 +108,10 @@ class CheckStats:
     # pre-pass runs at add_assertion time, so like the encode counters it
     # is attributed to the first check that uses the formula).
     sanitize_rewrites: int = 0
+    # Wall-clock spent in add_assertion bit-blasting and sanitizing the
+    # formulas covered by this check; disjoint from `seconds`.
+    encode_seconds: float = 0.0
+    sanitize_seconds: float = 0.0
 
     def copy(self) -> "CheckStats":
         return CheckStats(**asdict(self))
@@ -204,6 +209,8 @@ class SmtSolver:
         # Statistics. The mark advances at the end of every check, so
         # encoding done while asserting between checks is attributed to
         # the next check that uses it.
+        self._encode_seconds = 0.0
+        self._sanitize_seconds = 0.0
         self.last_check: CheckStats = CheckStats()
         self.cumulative: CheckStats = CheckStats()
         self._mark: CheckStats = self._stats_mark()
@@ -239,7 +246,10 @@ class SmtSolver:
         """
         if term.sort is not T.BOOL:
             raise TypeError(f"assertions must be boolean: {term!r}")
+        started = time.perf_counter()
         encoded = self._sanitized(term)
+        sanitized = time.perf_counter()
+        self._sanitize_seconds += sanitized - started
         # A *syntactically* false assertion keeps the zero-work fast path
         # unconditionally. A sanitizer-proved false does too, except in
         # certify mode, where the constant is encoded instead so the UNSAT
@@ -255,6 +265,7 @@ class SmtSolver:
             self._assertions.append(term)
             self._base_false = self._base_false or is_false
             self._encode(encoded)
+        self._encode_seconds += time.perf_counter() - sanitized
 
     def _sanitized(self, term: T.Term) -> T.Term:
         """The term to encode: the sanitizer's rewrite when analysis is on."""
@@ -282,6 +293,15 @@ class SmtSolver:
     def add_assertions(self, terms: Iterable[T.Term]) -> None:
         for term in terms:
             self.add_assertion(term)
+
+    def prefer(self, variables: Iterable[T.Term]) -> None:
+        """Have the next check decide these variables' bits first.
+
+        Each SAT variable of an already-encoded variable term gets one
+        VSIDS bump (:meth:`SatSolver.prefer`); variables not in the formula
+        are skipped and nothing is encoded.
+        """
+        self.sat.prefer(self.blaster.sat_vars(variables))
 
     def push(self) -> None:
         """Open a new assertion scope.
@@ -333,7 +353,9 @@ class SmtSolver:
         return CheckStats(0, sat.num_conflicts, sat.num_decisions,
                           sat.num_propagations, sat.num_learned,
                           blaster.cache_hits, blaster.cache_misses,
-                          sanitize_rewrites=self.sanitize_stats.rewrites)
+                          sanitize_rewrites=self.sanitize_stats.rewrites,
+                          encode_seconds=self._encode_seconds,
+                          sanitize_seconds=self._sanitize_seconds)
 
     def _record_check(self, seconds: float = 0.0,
                       tripped: bool = False,

@@ -28,7 +28,7 @@ search.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.events import BUS
 from repro.solver.budget import Budget
@@ -537,6 +537,23 @@ class SatSolver:
                 pos = parent
             order[pos] = var
             order_pos[var] = pos
+
+    def prefer(self, variables: Iterable[int]) -> None:
+        """Give each variable one VSIDS bump at the current increment.
+
+        On a solver whose activities are all equal the preferred variables
+        are then decided first, until conflicts reorder them; this is the
+        only way to seed the decision order. A variable assigned at level
+        0 takes the bump too but is never decided. An index outside
+        ``1..num_vars`` raises ValueError before any variable is bumped.
+        """
+        internal = []
+        for ext_var in variables:
+            if not 0 < ext_var <= self._num_vars:
+                raise ValueError(f"prefer(): no variable {ext_var}")
+            internal.append(ext_var - 1)
+        for var in internal:
+            self._bump_var(var)
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.activity += self._cla_inc

@@ -1,6 +1,13 @@
 """Tests for the SYNTHCL SDSL: types, runtime, programs, benchmarks."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.sym import fresh_bool, fresh_int, merge, ops, set_default_int_width
 from repro.sym.values import SymInt, Union
@@ -217,6 +224,46 @@ class TestSketching:
     def test_fwt_synthesis_succeeds(self):
         outcome = run_benchmark("FWT2s")
         assert outcome.status == "sat"
+
+
+_CHECK_SEARCH_SCRIPT = """
+import json
+from repro.sym import set_default_int_width
+from repro.sdsl.synthcl import run_benchmark
+set_default_int_width(8)
+rows = {}
+for name in ("MM2s", "SF3s", "FWT1s", "FWT2s"):
+    outcome = run_benchmark(name)
+    rows[name] = [outcome.status, outcome.stats.solver.conflicts]
+print(json.dumps(rows))
+"""
+
+
+class TestCegisCheckSearch:
+    """CEGIS checks decide the synthesis inputs first, so refuting a wrong
+    candidate costs a handful of conflicts, not a SAT search. Two hash
+    seeds, each in its own process, so the bound holds across orderings."""
+
+    def test_synthesis_rows_need_few_conflicts(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _CHECK_SEARCH_SCRIPT],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src,
+                 "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+        try:
+            outputs = [proc.communicate(timeout=60)[0] for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        for proc, stdout in zip(procs, outputs):
+            assert proc.returncode == 0
+            rows = json.loads(stdout.splitlines()[-1])
+            for name, (status, conflicts) in rows.items():
+                assert status == "sat", name
+                assert conflicts <= 25, (name, conflicts)
 
 
 class TestBenchmarkRegistry:

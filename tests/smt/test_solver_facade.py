@@ -72,6 +72,37 @@ class TestCheck:
         assert solver.model()[x] == 5
 
 
+class TestPrefer:
+    def test_preferred_variables_are_decided_first(self):
+        p, q = T.bool_var("pref_p"), T.bool_var("pref_q")
+        x = T.bv_var("pref_x", 2)
+        solver = SmtSolver()
+        solver.add_assertion(T.mk_or(p, q, T.mk_eq(x, bv(3, 2))))
+        solver.prefer([p, q])
+        assert solver.check() is SmtResult.SAT
+        # A fresh solver decides false first: p and q are decided before
+        # anything else, and propagation then forces x = 3.
+        assert solver.last_check.decisions == 2
+        model = solver.model([p, q, x])
+        assert (model[p], model[q], model[x]) == (False, False, 3)
+
+    def test_unencoded_variables_are_skipped_not_encoded(self):
+        x = T.bv_var("pref_y", 4)
+        solver = SmtSolver()
+        solver.add_assertion(T.mk_ult(x, bv(3)))
+        variables = solver.sat._num_vars
+        misses = solver.blaster.cache_misses
+        solver.prefer([T.bv_var("pref_absent", 4), T.bool_var("pref_b"), x])
+        assert solver.sat._num_vars == variables
+        assert solver.blaster.cache_misses == misses
+        assert solver.check() is SmtResult.SAT
+
+    def test_non_variable_terms_are_rejected(self):
+        solver = SmtSolver()
+        with pytest.raises(TypeError):
+            solver.prefer([T.mk_not(T.bool_var("pref_c"))])
+
+
 class TestAssumptions:
     def test_sat_under_assumptions(self):
         p = T.bool_var("ap")

@@ -173,6 +173,62 @@ class TestAssumptions:
         assert solver.unsat_core() == []
 
 
+class TestPrefer:
+    """`prefer` seeds the VSIDS order. With a ∨ b and every phase saved
+    false, whichever variable is decided first comes out false, so the
+    model names the first decision."""
+
+    @staticmethod
+    def _or_pair():
+        solver = SatSolver()
+        a, b = solver.new_var(), solver.new_var()
+        solver.add_clause([a, b])
+        return solver, a, b
+
+    def test_unpreferred_solver_decides_in_index_order(self):
+        solver, a, b = self._or_pair()
+        assert solver.solve() is SatResult.SAT
+        assert solver.model() == {a: False, b: True}
+        assert solver.num_decisions == 1
+
+    def test_first_decision_is_the_preferred_variable(self):
+        solver, a, b = self._or_pair()
+        solver.prefer([b])
+        assert solver.solve() is SatResult.SAT
+        assert solver.model() == {a: True, b: False}
+        assert solver.num_decisions == 1
+
+    def test_preferred_variables_precede_the_rest(self):
+        solver = SatSolver()
+        xs = [solver.new_var() for _ in range(6)]
+        solver.add_clause(xs)
+        solver.prefer(xs[3:])
+        assert solver.solve() is SatResult.SAT
+        # The three preferred variables are decided false first; the
+        # unpreferred lowest index is then the one left to satisfy.
+        model = solver.model()
+        assert [model[x] for x in xs[3:]] == [False, False, False]
+        assert sum(model[x] for x in xs) == 1
+
+    def test_assigned_variable_takes_the_bump_harmlessly(self):
+        solver = SatSolver()
+        unit, a, b = (solver.new_var() for _ in range(3))
+        solver.add_clause([unit])
+        solver.add_clause([a, b])
+        solver.prefer([unit, b])
+        assert solver.solve() is SatResult.SAT
+        assert solver.model() == {unit: True, a: True, b: False}
+
+    @pytest.mark.parametrize("bad", [0, 3, -1])
+    def test_out_of_range_raises_and_bumps_nothing(self, bad):
+        solver, a, b = self._or_pair()
+        with pytest.raises(ValueError):
+            solver.prefer([b, bad])
+        # b was listed before the bad index but took no bump.
+        assert solver.solve() is SatResult.SAT
+        assert solver.model() == {a: False, b: True}
+
+
 class TestLuby:
     def test_prefix(self):
         assert [_luby(i) for i in range(1, 16)] == \

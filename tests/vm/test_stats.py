@@ -126,6 +126,25 @@ class TestSolverStats:
         assert outcome.stats.solver.checks == 1
         assert outcome.stats.solver.encode_misses > 0
 
+    def test_encode_and_sanitize_time_fit_in_the_query_wall_time(self):
+        import time
+
+        from repro.queries import SolveOptions
+        from repro.sdsl.synthcl import run_benchmark
+
+        started = time.perf_counter()
+        outcome = run_benchmark("FWT2s", options=SolveOptions(analyze=True))
+        wall = time.perf_counter() - started
+        assert outcome.status == "sat"
+        stats = outcome.stats
+        assert stats.solver.encode_seconds > 0
+        assert stats.solver.sanitize_seconds > 0
+        # add_assertion runs outside `check`, so the four layers are
+        # disjoint and their sum cannot exceed the query.
+        assert (stats.svm_seconds + stats.solver_seconds
+                + stats.solver.encode_seconds
+                + stats.solver.sanitize_seconds) <= wall
+
     def test_merge_outcomes_sums_every_check_stats_field(self):
         from dataclasses import fields
 
